@@ -7,9 +7,10 @@ against either transport:
   :class:`~repro.api.protocol.ProtocolHandler` in this process (no
   sockets, no serialization of the transport itself — but the *same*
   envelope round-trip, so behavior matches the wire exactly);
-* :class:`HttpTransport` — stdlib ``urllib`` against a
-  :func:`repro.api.http.serve_http` server; ``submit`` posts ndjson and
-  consumes the streamed ndjson decision lines.
+* :class:`HttpTransport` — stdlib ``http.client`` against a
+  :func:`repro.api.http.serve_http` server or a cluster router, over
+  persistent connections from a :class:`~repro.api.http.ConnectionPool`;
+  ``submit`` posts ndjson and consumes the streamed ndjson decision lines.
 
 Because both transports route through the identical handler → service hot
 path, a fixed per-tenant event order produces **bit-identical** decision
@@ -24,14 +25,14 @@ carrying the code, so ``error_code(exc)`` round-trips across the wire.
 
 from __future__ import annotations
 
+import http.client
 import json
-import urllib.error
-import urllib.request
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Any
 
 from repro import errors
 from repro.errors import ProtocolError, RemoteApiError, TransportError
+from repro.api.http import SUBMIT_CHUNK, ConnectionPool
 from repro.api.protocol import (
     OP_CLOSE,
     OP_CLOSE_CYCLE,
@@ -114,8 +115,6 @@ class InProcessTransport:
         self, events: Sequence[AlertEvent]
     ) -> tuple[SignalDecision, ...]:
         """The streaming hot path (same chunking as the HTTP endpoint)."""
-        from repro.api.http import SUBMIT_CHUNK
-
         return tuple(self._handler.submit_stream(events, SUBMIT_CHUNK))
 
     def close(self) -> None:
@@ -123,11 +122,15 @@ class InProcessTransport:
 
 
 class HttpTransport:
-    """The wire transport: stdlib HTTP against a ``serve_http`` server."""
+    """The wire transport: stdlib HTTP against a ``serve_http`` server.
+
+    Requests travel on persistent HTTP/1.1 connections; the transport
+    keeps one idle connection per thread that has called it at once.
+    """
 
     def __init__(self, base_url: str, timeout: float = 30.0) -> None:
         self._base = base_url.rstrip("/")
-        self._timeout = timeout
+        self._pool = ConnectionPool(timeout)
 
     @property
     def base_url(self) -> str:
@@ -135,12 +138,22 @@ class HttpTransport:
         return self._base
 
     def call(self, request: Request) -> Response:
-        """POST one envelope to ``/v1/<op>`` and decode the reply."""
-        body = self._post(
-            f"/v1/{request.op}",
-            request.to_json().encode("utf-8"),
-            content_type="application/json",
-        )
+        """POST one envelope to ``/v1/<op>`` and decode the reply.
+
+        Error statuses still carry a protocol ``Response`` body.
+        """
+        path = f"/v1/{request.op}"
+        try:
+            _status, _ctype, body = self._pool.post(
+                self._base,
+                path,
+                request.to_json().encode("utf-8"),
+                "application/json",
+            )
+        except (OSError, http.client.HTTPException) as exc:
+            raise TransportError(
+                f"cannot reach {self._base}{path}: {exc}"
+            ) from exc
         try:
             return Response.from_json(body.decode("utf-8"))
         except Exception as exc:
@@ -158,38 +171,51 @@ class HttpTransport:
         decisions arrive (and deserialize) while later chunks are still
         being decided server-side, never buffering the raw body whole.
         """
-        request = urllib.request.Request(
-            self._base + "/v1/submit",
-            data=encode_ndjson(events).encode("utf-8"),
-            headers={"Content-Type": "application/x-ndjson"},
-            method="POST",
-        )
+        connection = self._pool.checkout(self._base)
         decisions: list[SignalDecision] = []
         try:
-            with urllib.request.urlopen(request, timeout=self._timeout) as reply:
+            connection.request(
+                "POST",
+                "/v1/submit",
+                body=encode_ndjson(events).encode("utf-8"),
+                headers={"Content-Type": "application/x-ndjson"},
+            )
+            reply = connection.getresponse()
+            if reply.status == 200:
                 for raw in reply:
                     line = raw.decode("utf-8").strip()
-                    if not line:
-                        continue
-                    self._collect_submit_line(line, decisions)
-        except urllib.error.HTTPError as exc:
-            # Pre-stream rejections (bad ndjson body) carry a Response —
-            # but an intermediary (reverse proxy, stdlib error page) may
-            # answer with something else entirely.
-            body = exc.read().decode("utf-8", errors="replace")
-            try:
-                error = Response.from_json(body).error
-            except Exception:
-                raise TransportError(
-                    f"server reply to submit is not a protocol response "
-                    f"(HTTP {exc.code}): {body[:200]!r}"
-                ) from exc
-            raise_for(error.code, error.message)
-        except (urllib.error.URLError, OSError) as exc:
+                    if line:
+                        self._collect_submit_line(line, decisions)
+            # Iterating leaves a sized reply unfinished for http.client;
+            # read() reaches its end, so the connection can be reused.
+            body = reply.read()
+        except (OSError, http.client.HTTPException) as exc:
+            connection.close()
             raise TransportError(
                 f"cannot reach {self._base}/v1/submit: {exc}"
             ) from exc
+        except BaseException:
+            connection.close()
+            raise
+        self._pool.checkin(self._base, connection, reply)
+        if reply.status != 200:
+            self._raise_rejection(reply.status, body)
         return tuple(decisions)
+
+    @staticmethod
+    def _raise_rejection(status: int, body: bytes) -> None:
+        # Pre-stream rejections (bad ndjson body) carry a Response — but
+        # an intermediary (reverse proxy, stdlib error page) may answer
+        # with something else entirely.
+        text = body.decode("utf-8", errors="replace")
+        try:
+            error = Response.from_json(text).error
+        except Exception as exc:
+            raise TransportError(
+                f"server reply to submit is not a protocol response "
+                f"(HTTP {status}): {text[:200]!r}"
+            ) from exc
+        raise_for(error.code, error.message)
 
     @staticmethod
     def _collect_submit_line(
@@ -203,25 +229,8 @@ class HttpTransport:
         decisions.append(SignalDecision.from_dict(document))
 
     def close(self) -> None:
-        """Nothing held open between requests."""
-
-    def _post(self, path: str, data: bytes, content_type: str) -> bytes:
-        request = urllib.request.Request(
-            self._base + path,
-            data=data,
-            headers={"Content-Type": content_type},
-            method="POST",
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self._timeout) as reply:
-                return reply.read()
-        except urllib.error.HTTPError as exc:
-            # Error statuses still carry a protocol Response body.
-            return exc.read()
-        except (urllib.error.URLError, OSError) as exc:
-            raise TransportError(
-                f"cannot reach {self._base}{path}: {exc}"
-            ) from exc
+        """Close the connections kept open between requests."""
+        self._pool.close()
 
 
 class ReproClient:

@@ -35,19 +35,18 @@ the tier to bit-identical per-tenant behavior).
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from http import HTTPStatus
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
 from repro.errors import ClusterError, ProtocolError, WorkerUnavailableError
 from repro.api.hashring import DEFAULT_REPLICAS, HashRing
-from repro.api.http import STATUS_BY_CODE
+from repro.api.http import STATUS_BY_CODE, ConnectionPool
 from repro.api.protocol import (
     OP_CLOSE,
     OP_CLOSE_CYCLE,
@@ -83,9 +82,13 @@ _ALWAYS_RETRY_SAFE = (OP_HEALTHZ, OP_STATS, OP_REPORT)
 
 
 def _is_never_sent(exc: BaseException) -> bool:
-    """True when the TCP connect itself failed — nothing reached a worker."""
-    reason = exc.reason if isinstance(exc, urllib.error.URLError) else exc
-    return isinstance(reason, ConnectionRefusedError)
+    """True when the TCP connect itself failed — nothing reached a worker.
+
+    Only a fresh connection can be refused: a pooled one is probed before
+    reuse and discarded if the worker has closed it (see
+    :class:`~repro.api.http.ConnectionPool`).
+    """
+    return isinstance(exc, ConnectionRefusedError)
 
 
 def _error_body(op: str, exc: BaseException) -> tuple[int, bytes]:
@@ -139,7 +142,6 @@ class AuditCluster:
         self._host = host
         self._port = port
         self._fsync = fsync
-        self._request_timeout = request_timeout
         self._verbose = verbose
         self._ring = HashRing(worker_ids, replicas=replicas)
         supervisor_kwargs = {}
@@ -149,6 +151,11 @@ class AuditCluster:
             [self._spec(worker_id) for worker_id in worker_ids],
             **supervisor_kwargs,
         )
+        # Persistent connections to the workers, at most one idle per
+        # router thread that forwarded at once, and the URL each was
+        # opened to (a revived or moved worker listens on a new port).
+        self._pool = ConnectionPool(request_timeout)
+        self._worker_urls: dict[str, str] = {}
         # Routing gate: cleared during a rebalance so new requests park
         # while in-flight ones drain; plain threading primitives because
         # forwards run on to_thread workers anyway.
@@ -165,6 +172,8 @@ class AuditCluster:
         self._bound: tuple[str, int] | None = None
         self._ready_path: Path | None = None
         self._workers_started = False
+        # Open client connections by handler task (event-loop thread only).
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     def _spec(self, worker_id: str) -> WorkerSpec:
         return WorkerSpec(
@@ -249,7 +258,7 @@ class AuditCluster:
         return not self._thread.is_alive()
 
     def shutdown(self) -> None:
-        """Stop the router (if running) and every worker."""
+        """Stop the router (if running), its connections and every worker."""
         if self._loop is not None and self._stop_async is not None:
             try:
                 self._loop.call_soon_threadsafe(self._stop_async.set)
@@ -258,6 +267,7 @@ class AuditCluster:
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
+        self._pool.close()
         self._supervisor.stop_all()
         if self._tempdir is not None:
             self._tempdir.cleanup()
@@ -281,12 +291,20 @@ class AuditCluster:
         self._ready.set()
         async with server:
             await self._stop_async.wait()
+        # Clients keep their connections open between requests: end them,
+        # so that each handler returns instead of being cancelled.
+        for writer in self._connections.values():
+            writer.close()
+        if self._connections:
+            await asyncio.wait(tuple(self._connections))
 
     # ------------------------------------------------------------------
     # HTTP front door (hand-rolled HTTP/1.1 over asyncio streams)
     # ------------------------------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 parsed = await self._read_request(reader)
@@ -318,6 +336,7 @@ class AuditCluster:
         ):
             pass  # malformed request or client went away
         finally:
+            del self._connections[task]
             writer.close()
             try:
                 await writer.wait_closed()
@@ -468,33 +487,14 @@ class AuditCluster:
         last_exc: BaseException | None = None
         for attempt in range(MAX_FORWARD_ATTEMPTS):
             try:
-                url = self._supervisor.ensure(worker_id)
+                url = self._worker_url(worker_id)
             except WorkerUnavailableError as exc:
                 status, payload = _error_body(op, exc)
                 return status, "application/json", payload
-            request = urllib.request.Request(
-                url + path,
-                data=body,
-                method="POST",
-                headers={"Content-Type": content_type},
-            )
             try:
-                with urllib.request.urlopen(
-                    request, timeout=self._request_timeout
-                ) as reply:
-                    return (
-                        reply.status,
-                        reply.headers.get("Content-Type", "application/json"),
-                        reply.read(),
-                    )
-            except urllib.error.HTTPError as exc:
-                # A worker-produced error envelope: pass through verbatim.
-                return (
-                    exc.code,
-                    exc.headers.get("Content-Type", "application/json"),
-                    exc.read(),
-                )
-            except (urllib.error.URLError, OSError) as exc:
+                # Worker-produced error envelopes pass through verbatim.
+                return self._pool.post(url, path, body, content_type)
+            except (OSError, http.client.HTTPException) as exc:
                 last_exc = exc
                 if not (_is_never_sent(exc) or retry_safe):
                     break
@@ -509,6 +509,24 @@ class AuditCluster:
             f": {last_exc}"
         ))
         return status, "application/json", payload
+
+    def _worker_url(self, worker_id: str) -> str:
+        """The shard's live URL, reviving its worker first if it died.
+
+        Idle connections to a URL the worker no longer listens on are
+        closed here.
+        """
+        url = self._supervisor.ensure(worker_id)
+        if self._worker_urls.get(worker_id) != url:
+            self._forget_worker(worker_id)
+            self._worker_urls[worker_id] = url
+        return url
+
+    def _forget_worker(self, worker_id: str) -> None:
+        """Close the idle connections to the worker's last known URL."""
+        stale = self._worker_urls.pop(worker_id, None)
+        if stale is not None:
+            self._pool.close_idle(stale)
 
     # ------------------------------------------------------------------
     # submit: fan out per shard, fan back in input order
@@ -743,6 +761,7 @@ class AuditCluster:
             # WAL appends flush per record, so nothing is in flight).
             for worker_id in sorted(affected):
                 self._supervisor.stop(worker_id)
+                self._forget_worker(worker_id)
             # 4. Move the WAL files to their new owners.
             from repro.logstore.wal import WAL_SUFFIX
 

@@ -28,12 +28,22 @@ All requests funnel through one :class:`~repro.api.protocol.ProtocolHandler`
 and the per-tenant determinism contract are shared, not reimplemented.
 Thread safety comes from the handler's dispatch lock; the threading server
 only parallelizes socket I/O.
+
+Connections are persistent HTTP/1.1: a connection stays open across
+requests, ``submit`` included, until the peer closes it or the server
+shuts down. :class:`ConnectionPool` is the calling side of that — the
+client transport and the cluster router both draw pooled connections
+from it.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import select
+import socket
 import threading
+import urllib.parse
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -80,11 +90,107 @@ def _status_for(response: Response) -> int:
     ))
 
 
+class ConnectionPool:
+    """Idle persistent HTTP/1.1 connections, kept per base URL.
+
+    A caller checks a connection out, sends one request, reads the reply
+    to its end and checks the connection back in, so the pool never
+    holds more idle connections than callers ever ran at once.
+
+    The never-sent rule the cluster's retries rest on holds for pooled
+    connections too. An idle connection is probed before reuse; one
+    whose peer has closed it (a server that restarted, shut down or was
+    killed) is discarded before anything is written to it. Only a fresh
+    connection can be refused, so ``ConnectionRefusedError`` still means
+    the request never left this process.
+    """
+
+    def __init__(self, timeout: float) -> None:
+        self._timeout = timeout
+        self._idle: dict[str, list[http.client.HTTPConnection]] = {}
+        self._lock = threading.Lock()
+
+    def checkout(self, base_url: str) -> http.client.HTTPConnection:
+        """A live idle connection to ``base_url``, else a new unopened one."""
+        with self._lock:
+            idle = self._idle.get(base_url, [])
+            while idle:
+                connection = idle.pop()
+                # An idle connection has nothing to read: if it polls
+                # readable, the peer closed it (or sent unasked bytes).
+                readable, _, _ = select.select([connection.sock], [], [], 0)
+                if not readable:
+                    return connection
+                connection.close()
+        parts = urllib.parse.urlsplit(base_url)
+        return http.client.HTTPConnection(
+            parts.hostname, parts.port, timeout=self._timeout
+        )
+
+    def checkin(
+        self,
+        base_url: str,
+        connection: http.client.HTTPConnection,
+        reply: http.client.HTTPResponse,
+    ) -> None:
+        """Keep ``connection`` for reuse if ``reply`` left it reusable.
+
+        ``http.client`` marks a reply finished only once ``read()`` has
+        reached its end; anything else — an unread tail, or a server that
+        announced it will close — ends the connection here.
+        """
+        if reply.will_close or not reply.isclosed():
+            connection.close()
+            return
+        with self._lock:
+            self._idle.setdefault(base_url, []).append(connection)
+
+    def post(
+        self, base_url: str, path: str, body: bytes, content_type: str
+    ) -> tuple[int, str, bytes]:
+        """POST on a pooled connection; ``(status, content type, body)``."""
+        connection = self.checkout(base_url)
+        try:
+            connection.request(
+                "POST", path, body=body, headers={"Content-Type": content_type}
+            )
+            reply = connection.getresponse()
+            data = reply.read()
+        except BaseException:
+            connection.close()
+            raise
+        self.checkin(base_url, connection, reply)
+        return (
+            reply.status,
+            reply.getheader("Content-Type", "application/json"),
+            data,
+        )
+
+    def close_idle(self, base_url: str) -> None:
+        """Close the idle connections to one base URL."""
+        with self._lock:
+            idle = self._idle.pop(base_url, [])
+        for connection in idle:
+            connection.close()
+
+    def close(self) -> None:
+        """Close every idle connection."""
+        with self._lock:
+            idle = [c for group in self._idle.values() for c in group]
+            self._idle.clear()
+        for connection in idle:
+            connection.close()
+
+
 class _ApiRequestHandler(BaseHTTPRequestHandler):
     """One HTTP exchange → one protocol dispatch."""
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-api/1"
+    # On a kept-alive connection a reply's small write would otherwise
+    # wait, under Nagle's algorithm, for the peer's delayed ACK of the
+    # previous one.
+    disable_nagle_algorithm = True
 
     # The ProtocolHandler is attached to the server object by ReproHttpServer.
 
@@ -122,6 +228,7 @@ class _ApiRequestHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         op = self._path_op()
         if op is None:
+            self._read_body()  # consumed, so the connection can carry on
             self._send_json(
                 int(HTTPStatus.NOT_FOUND),
                 {"ok": False, "error": {
@@ -185,11 +292,12 @@ class _ApiRequestHandler(BaseHTTPRequestHandler):
             except OSError:
                 self.close_connection = True
                 return
+        # The zero-length chunk ends a well-framed reply, so the
+        # connection stays open for the peer's next request.
         try:
             self._write_chunk("")
         except OSError:
-            pass
-        self.close_connection = True
+            self.close_connection = True
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -208,22 +316,64 @@ class _ApiRequestHandler(BaseHTTPRequestHandler):
 
     def _write_chunk(self, text: str) -> None:
         data = text.encode("utf-8")
-        self.wfile.write(f"{len(data):x}\r\n".encode("ascii"))
-        self.wfile.write(data + b"\r\n")
-        self.wfile.flush()
+        self.wfile.write(
+            f"{len(data):x}\r\n".encode("ascii") + data + b"\r\n"
+        )
 
     def _send_response(self, response: Response) -> None:
-        self._send_json(
-            _status_for(response), json.loads(response.to_json())
+        self._send_bytes(
+            _status_for(response), response.to_json().encode("utf-8")
         )
 
     def _send_json(self, status: int, body: dict) -> None:
-        data = json.dumps(body, sort_keys=True).encode("utf-8")
+        self._send_bytes(
+            status, json.dumps(body, sort_keys=True).encode("utf-8")
+        )
+
+    def _send_bytes(self, status: int, data: bytes) -> None:
+        """Status line, headers and JSON body in a single write."""
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+        # end_headers() would write the head on its own; append the blank
+        # line and the body to the buffered head and flush them together.
+        self._headers_buffer.append(b"\r\n" + data)
+        self.flush_headers()
+
+
+class _ConnectionTrackingServer(ThreadingHTTPServer):
+    """A threading HTTP server that can end the connections it holds.
+
+    Each kept-alive connection parks a handler thread on its next
+    request line; :meth:`close_connections` wakes them all with a socket
+    shutdown, which also tells every peer the connection is gone.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, address, handler_class) -> None:
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(address, handler_class)
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by its handler
 
 
 class ReproHttpServer:
@@ -243,10 +393,11 @@ class ReproHttpServer:
         verbose: bool = False,
     ) -> None:
         self.handler = ProtocolHandler(service)
-        self._httpd = ThreadingHTTPServer((host, port), _ApiRequestHandler)
+        self._httpd = _ConnectionTrackingServer(
+            (host, port), _ApiRequestHandler
+        )
         self._httpd.protocol_handler = self.handler
         self._httpd.verbose = verbose
-        self._httpd.daemon_threads = True
         self._thread: threading.Thread | None = None
         self._started = False
 
@@ -285,9 +436,11 @@ class ReproHttpServer:
         return self
 
     def shutdown(self) -> None:
-        """Stop the accept loop (if running) and release the socket.
+        """Stop the accept loop (if running) and release the sockets.
 
-        Safe on a server whose accept loop never started —
+        The listening socket closes first, then every connection a client
+        still holds open, so no request is answered after shutdown. Safe
+        on a server whose accept loop never started —
         ``BaseServer.shutdown`` would otherwise wait forever on an event
         only ``serve_forever`` sets.
         """
@@ -295,6 +448,7 @@ class ReproHttpServer:
             self._httpd.shutdown()
             self._started = False
         self._httpd.server_close()
+        self._httpd.close_connections()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
@@ -327,6 +481,7 @@ def serve_http(
 __all__ = [
     "STATUS_BY_CODE",
     "SUBMIT_CHUNK",
+    "ConnectionPool",
     "ReproHttpServer",
     "serve_http",
 ]

@@ -20,6 +20,7 @@ for large ``lambda``.
 from __future__ import annotations
 
 import math
+import sys
 
 from repro.errors import EstimationError
 
@@ -56,12 +57,22 @@ def expected_reciprocal(lam: float, tol: float = _SERIES_TOL) -> float:
     super-geometrically once ``k > lam``; summation stops when the running
     term falls below ``tol`` times the accumulated mass *and* ``k`` has
     passed the mode, which bounds the discarded tail by ``tol``.
+
+    The series starts from ``pmf(1) = lam e^{-lam}``, which is exact only
+    while ``e^{-lam}`` is a normal double (``lam`` below about 708.4).
+    Above that, :func:`_reciprocal_series_log_space` computes every term
+    in log space instead.
     """
     if lam < 0:
         raise EstimationError(f"Poisson rate must be non-negative, got {lam}")
     if lam <= _TINY_LAMBDA:
         # Conditioned on d >= 1, Poisson(0+) is a point mass at 1.
         return 1.0
+    if math.exp(-lam) < sys.float_info.min:
+        if math.isinf(lam):
+            raise EstimationError(f"Poisson rate must be finite, got {lam}")
+        # 1 - e^{-lam} rounds to exactly 1.0 here.
+        return _reciprocal_series_log_space(lam, tol)
 
     mass_above_zero = -math.expm1(-lam)  # 1 - e^{-lam}, stable for small lam
     total = 0.0
@@ -76,6 +87,26 @@ def expected_reciprocal(lam: float, tol: float = _SERIES_TOL) -> float:
     else:  # pragma: no cover - series always converges well before the cap
         raise EstimationError(f"reciprocal-moment series did not converge (lam={lam})")
     return total / mass_above_zero
+
+
+def _reciprocal_series_log_space(lam: float, tol: float) -> float:
+    """``sum_{k>=1} pmf(k) / k`` with each ``pmf(k)`` taken in log space.
+
+    For a rate this large the mass sits within a few standard deviations
+    of the mode, so the sum runs outward from the mode, largest terms
+    first, and stops on each side once a term falls below ``tol`` times
+    the running total.
+    """
+    log_lam = math.log(lam)
+    mode = int(lam)
+    total = 0.0
+    for ks in (range(mode, 0, -1), range(mode + 1, mode + _MAX_TERMS)):
+        for k in ks:
+            term = math.exp(k * log_lam - lam - math.lgamma(k + 1)) / k
+            total += term
+            if term < tol * total:
+                break
+    return total
 
 
 def expected_reciprocal_slope(lam: float) -> float:

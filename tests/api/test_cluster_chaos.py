@@ -15,6 +15,7 @@ so these tests are exact, not timing-dependent.
 """
 
 import dataclasses
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -220,3 +221,60 @@ class TestSupervisionLimits:
         assert json.load(
             urllib.request.urlopen(url + "/healthz")
         )["ok"]
+
+
+class TestPersistentConnections:
+    """Both hops keep their connections; a dead one is never reused."""
+
+    def test_decides_reuse_one_connection_per_hop(self, tmp_path, monkeypatch):
+        connects = []
+        connect = http.client.HTTPConnection.connect
+
+        def counting_connect(self):
+            connects.append(self.port)
+            return connect(self)
+
+        monkeypatch.setattr(
+            http.client.HTTPConnection, "connect", counting_connect
+        )
+        with serve_cluster(
+            workers=2, state_dir=tmp_path / "cluster"
+        ).start_background() as cluster:
+            with ReproClient.connect(cluster.url) as client:
+                pinned = _pin_tenants(cluster)
+                tenants = [names[0] for names in pinned.values()]
+                streams = {}
+                for tenant in tenants:
+                    config = make_config(tenant=tenant)
+                    client.open_session(config, make_history())
+                    streams[tenant] = make_events(tenant=tenant, n=100)
+                for index in range(100):
+                    for tenant in tenants:
+                        client.decide(streams[tenant][index], seq=index + 1)
+            router_port = int(cluster.url.rsplit(":", 1)[1])
+            assert connects.count(router_port) == 1
+            assert len(connects) <= 1 + len(cluster.worker_ids)
+
+    def test_non_idempotent_ops_after_a_kill_match_the_twin(self, tmp_path):
+        """The router held a connection to the killed worker; a request
+        that is not retry-safe must still reach the revived one."""
+        reference = AuditService()
+        with serve_cluster(
+            workers=2, state_dir=tmp_path / "cluster"
+        ).start_background() as cluster, ReproClient.connect(
+            cluster.url
+        ) as client:
+            tenants = _open_everywhere(cluster, client, reference)
+            tenant = tenants[0]
+            victim = cluster.owner_of(tenant)
+            events = make_events(tenant=tenant, n=10)
+            head, tail = events[:4], events[4:]
+            assert list(client.submit(head)) == list(reference.submit(head))
+
+            cluster.supervisor.kill(victim)
+            assert _strip_wall(client.close_cycle(tenant)) == _strip_wall(
+                reference.close_cycle(tenant)
+            )
+            cluster.supervisor.kill(victim)
+            assert list(client.submit(tail)) == list(reference.submit(tail))
+            assert cluster.supervisor.restarts(victim) == 2

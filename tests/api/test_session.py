@@ -52,6 +52,29 @@ class TestDecisionEquivalence:
         assert session.report().events == 0
 
 
+class TestHeavyTraffic:
+    def test_cache_mode_decides_with_800_alerts_a_day(self):
+        """Past ~746 expected alerts of a type a day, the reciprocal
+        moment once underflowed to 0 and the solver divided by it."""
+        times = np.linspace(100.0, 86000.0, 800)
+        history = {1: [times.copy(), times.copy(), times.copy()]}
+        config = make_config(
+            budget=50.0,
+            cache_budget_step=0.5,
+            cache_rate_step=1.0,
+            cache_error_budget=1e-6,
+        )
+        session = AuditSession.open(config, history)
+        events = [
+            AlertEvent(tenant="a", type_id=1, time_of_day=float(t), event_id=i)
+            for i, t in enumerate(times[:40])
+        ]
+        decisions = session.decide_batch(events)
+        assert len(decisions) == 40
+        assert all(0.0 <= d.audit_probability <= 1.0 for d in decisions)
+        assert session.report().events == 40
+
+
 class TestLifecycle:
     def test_open_decide_close_cycle_report(self):
         session = AuditSession.open(make_config(), make_history())

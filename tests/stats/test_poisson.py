@@ -132,6 +132,36 @@ class TestExpectedReciprocal:
         assert expected_reciprocal(lam) == pytest.approx(empirical, rel=0.01)
 
 
+class TestLargeRates:
+    """Rates past ~708.4, where ``e^{-lam}`` stops being a normal double."""
+
+    @staticmethod
+    def log_space_reference(lam: float) -> float:
+        # Every term in log space over a range far wider than the mass,
+        # summed exactly.
+        last = int(lam + 60.0 * math.sqrt(lam)) + 60
+        numerator = math.fsum(
+            math.exp(k * math.log(lam) - lam - math.lgamma(k + 1)) / k
+            for k in range(1, last)
+        )
+        return numerator / -math.expm1(-lam)
+
+    @pytest.mark.parametrize("lam", [700.0, 745.0, 746.0, 1e3, 1e4])
+    def test_matches_log_space_reference(self, lam):
+        assert expected_reciprocal(lam) == pytest.approx(
+            self.log_space_reference(lam), rel=1e-12
+        )
+
+    def test_values_below_the_switch_are_unchanged(self):
+        # Golden streams and existing WALs replay through these floats.
+        assert expected_reciprocal(500.0) == 0.002004016096775725
+        assert expected_reciprocal(708.0) == 0.001414429994766388
+
+    def test_infinite_rate_rejected(self):
+        with pytest.raises(EstimationError):
+            expected_reciprocal(math.inf)
+
+
 class TestMemoization:
     def test_caches_by_rounded_key(self):
         moment = PoissonReciprocalMoment(decimals=6)
