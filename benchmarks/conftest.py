@@ -11,10 +11,17 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.dataset import build_alert_store
+from repro.solvers.registry import warm_up
 
 #: Dataset parameters shared by all benchmarks (paper scale: 56 days).
 BENCH_SEED = 7
 BENCH_DAYS = 56
+
+
+@pytest.fixture(scope="session", autouse=True)
+def solver_loaded():
+    """SciPy loads on the first HiGHS solve: load it before any timing."""
+    warm_up()
 
 
 @pytest.fixture(scope="session")

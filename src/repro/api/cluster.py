@@ -11,14 +11,19 @@ via the consistent-hash ring of :mod:`repro.api.hashring`:
   shard, so per-tenant ordering, sequence numbers, and determinism are
   exactly the single-process story. ``submit`` streams fan **out** per
   shard (concurrently) and fan back in input order; ``stats`` and
-  ``healthz`` fan **in** across every shard
+  ``healthz`` fan **in** across every shard, concurrently too
   (:meth:`~repro.api.v1.types.ServiceStats.merge`).
-* **Supervision** — a dead worker is restarted on the next request routed
-  to it (WAL replay restores its state first); requests that provably
-  never reached a worker are retried transparently, as are idempotent
-  requests (``decide`` with a ``seq``/``idempotency_key``, reads) after a
-  mid-flight crash. Non-idempotent requests that *may* have been
-  partially processed surface ``worker_unavailable`` instead of guessing.
+* **Forwarding** — every forward runs on the router's event loop over
+  persistent asyncio streams, kept idle per worker URL between requests.
+  Threads are left for what must block: supervisor revives (a spawn plus
+  a WAL replay) and rebalances.
+* **Supervision** — a dead worker is revived on the first forward to it
+  that is refused or fails (WAL replay restores its state first);
+  requests that provably never reached a worker are retried
+  transparently, as are idempotent requests (``decide`` with a
+  ``seq``/``idempotency_key``, reads) after a mid-flight crash.
+  Non-idempotent requests that *may* have been partially processed
+  surface ``worker_unavailable`` instead of guessing.
 * **Rebalancing** — :meth:`AuditCluster.add_worker` /
   :meth:`AuditCluster.remove_worker` pause routing, drain in-flight
   requests, gracefully stop the affected shards, move the per-tenant
@@ -35,8 +40,8 @@ the tier to bit-identical per-tenant behavior).
 from __future__ import annotations
 
 import asyncio
-import http.client
 import json
+import select
 import threading
 import time
 import urllib.parse
@@ -46,7 +51,7 @@ from tempfile import TemporaryDirectory
 
 from repro.errors import ClusterError, ProtocolError, WorkerUnavailableError
 from repro.api.hashring import DEFAULT_REPLICAS, HashRing
-from repro.api.http import STATUS_BY_CODE, ConnectionPool
+from repro.api.http import STATUS_BY_CODE
 from repro.api.protocol import (
     OP_CLOSE,
     OP_CLOSE_CYCLE,
@@ -84,11 +89,63 @@ _ALWAYS_RETRY_SAFE = (OP_HEALTHZ, OP_STATS, OP_REPORT)
 def _is_never_sent(exc: BaseException) -> bool:
     """True when the TCP connect itself failed — nothing reached a worker.
 
-    Only a fresh connection can be refused: a pooled one is probed before
-    reuse and discarded if the worker has closed it (see
-    :class:`~repro.api.http.ConnectionPool`).
+    Only a fresh connection can be refused: an idle stream is probed
+    before reuse and discarded if the worker has closed it (see
+    :func:`_is_reusable`).
     """
     return isinstance(exc, ConnectionRefusedError)
+
+
+def _is_reusable(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+) -> bool:
+    """Whether an idle worker stream can carry the next request.
+
+    An idle stream has nothing to read. One at EOF, closing, or whose
+    socket polls readable has been closed by the worker (or was sent
+    unasked bytes); it is dropped before anything is written to it, the
+    same probe :class:`~repro.api.http.ConnectionPool` makes.
+    """
+    if reader.at_eof() or writer.is_closing():
+        return False
+    sock = writer.get_extra_info("socket")
+    readable, _, _ = select.select([sock], [], [], 0)
+    return not readable
+
+
+async def _read_message(
+    reader: asyncio.StreamReader,
+) -> tuple[dict[str, str], bytes]:
+    """The headers and body of one HTTP/1.1 message, after its start line.
+
+    The body is framed by ``Content-Length`` or by chunked transfer coding
+    (workers stream ``submit`` replies chunked). Requests from clients and
+    replies from workers are both read here; a message cut short raises
+    :class:`asyncio.IncompleteReadError`.
+    """
+    headers: dict[str, str] = {}
+    while True:
+        line = await reader.readline()
+        if not line:
+            raise asyncio.IncompleteReadError(b"", None)
+        if line in (b"\r\n", b"\n"):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    if headers.get("transfer-encoding", "").lower() == "chunked":
+        parts = []
+        while True:
+            size_line = await reader.readline()
+            size = int(size_line.strip().split(b";")[0], 16)
+            if size == 0:
+                await reader.readline()
+                break
+            parts.append(await reader.readexactly(size))
+            await reader.readexactly(2)
+        return headers, b"".join(parts)
+    length = int(headers.get("content-length", 0))
+    body = await reader.readexactly(length) if length > 0 else b""
+    return headers, body
 
 
 def _error_body(op: str, exc: BaseException) -> tuple[int, bytes]:
@@ -151,14 +208,18 @@ class AuditCluster:
             [self._spec(worker_id) for worker_id in worker_ids],
             **supervisor_kwargs,
         )
-        # Persistent connections to the workers, at most one idle per
-        # router thread that forwarded at once, and the URL each was
-        # opened to (a revived or moved worker listens on a new port).
-        self._pool = ConnectionPool(request_timeout)
+        # Forwarding state, touched on the router's event loop only: each
+        # worker's last known URL (a revived or moved worker listens on a
+        # new port), and idle streams per URL, at most one per forward
+        # that ran at once.
+        self._request_timeout = request_timeout
         self._worker_urls: dict[str, str] = {}
+        self._idle: dict[
+            str, list[tuple[asyncio.StreamReader, asyncio.StreamWriter]]
+        ] = {}
         # Routing gate: cleared during a rebalance so new requests park
-        # while in-flight ones drain; plain threading primitives because
-        # forwards run on to_thread workers anyway.
+        # while in-flight ones drain; threading primitives because
+        # rebalances run on caller threads.
         self._gate = threading.Event()
         self._gate.set()
         self._inflight = 0
@@ -267,7 +328,6 @@ class AuditCluster:
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
-        self._pool.close()
         self._supervisor.stop_all()
         if self._tempdir is not None:
             self._tempdir.cleanup()
@@ -297,6 +357,29 @@ class AuditCluster:
             writer.close()
         if self._connections:
             await asyncio.wait(tuple(self._connections))
+        # Then the idle streams to the workers.
+        idle = [
+            writer for streams in self._idle.values() for _, writer in streams
+        ]
+        self._idle.clear()
+        self._worker_urls.clear()
+        for writer in idle:
+            writer.close()
+        await asyncio.gather(
+            *(writer.wait_closed() for writer in idle), return_exceptions=True
+        )
+
+    def _call_on_loop(self, callback, *args) -> None:
+        """Run ``callback(*args)`` on the router's loop, from any thread.
+
+        Without a serving loop there are no streams for it to touch.
+        """
+        if self._loop is None:
+            return
+        try:
+            self._loop.call_soon_threadsafe(callback, *args)
+        except RuntimeError:
+            pass  # the loop already finished and closed its streams
 
     # ------------------------------------------------------------------
     # HTTP front door (hand-rolled HTTP/1.1 over asyncio streams)
@@ -348,29 +431,7 @@ class AuditCluster:
         if not request_line:
             return None
         method, path, _version = request_line.decode("ascii").split()
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        body = b""
-        if headers.get("transfer-encoding", "").lower() == "chunked":
-            parts = []
-            while True:
-                size_line = await reader.readline()
-                size = int(size_line.strip().split(b";")[0], 16)
-                if size == 0:
-                    await reader.readline()
-                    break
-                parts.append(await reader.readexactly(size))
-                await reader.readexactly(2)
-            body = b"".join(parts)
-        else:
-            length = int(headers.get("content-length", 0))
-            if length > 0:
-                body = await reader.readexactly(length)
+        headers, body = await _read_message(reader)
         return method, path, headers, body
 
     # ------------------------------------------------------------------
@@ -383,16 +444,17 @@ class AuditCluster:
         await self._enter()
         try:
             if method == "GET" and path == "/healthz":
-                payload = await asyncio.to_thread(self._health_fanin)
+                payload = await self._health_fanin()
                 status = 200 if payload["ok"] else 503
                 return status, "application/json", _dump(payload)
             if method == "GET" and path == "/stats":
-                merged = await asyncio.to_thread(self._stats_fanin)
+                merged = await self._stats_fanin()
                 return 200, "application/json", _dump(
                     {"stats": merged.to_dict()}
                 )
             if method == "GET" and path == "/cluster":
-                return 200, "application/json", _dump(self._topology())
+                topology = await asyncio.to_thread(self._topology)
+                return 200, "application/json", _dump(topology)
             op = self._path_op(path) if method == "POST" else None
             if op is None:
                 _status, payload = _error_body("healthz", ProtocolError(
@@ -403,17 +465,11 @@ class AuditCluster:
             if op == OP_SUBMIT:
                 return await self._submit_fanout(body)
             if op in (OP_STATS, OP_HEALTHZ):
-                return await asyncio.to_thread(self._envelope_fanin, op)
+                return await self._envelope_fanin(op)
             worker_id, retry_safe = self._routing_target(op, body)
-            status, ctype, payload = await asyncio.to_thread(
-                self._forward,
-                worker_id,
-                f"/v1/{op}",
-                body,
-                retry_safe,
-                op,
+            return await self._forward(
+                worker_id, f"/v1/{op}", body, retry_safe, op
             )
-            return status, ctype, payload
         finally:
             self._exit()
 
@@ -471,10 +527,10 @@ class AuditCluster:
         return self._ring.workers[0], retry_safe
 
     # ------------------------------------------------------------------
-    # Forwarding with supervision-aware retry
+    # Forwarding with supervision-aware retry (event loop only)
     # ------------------------------------------------------------------
 
-    def _forward(
+    async def _forward(
         self,
         worker_id: str,
         path: str,
@@ -483,25 +539,34 @@ class AuditCluster:
         op: str,
         content_type: str = "application/json",
     ) -> tuple[int, str, bytes]:
-        """POST to one shard; revive-and-retry per the idempotency rules."""
+        """POST to one shard; revive-and-retry per the idempotency rules.
+
+        The fast path posts to the worker's cached URL and takes no
+        supervisor lock. The supervisor is asked for the URL (reviving a
+        dead worker) only when none is cached or the last attempt failed.
+        """
+        url = self._worker_urls.get(worker_id)
         last_exc: BaseException | None = None
         for attempt in range(MAX_FORWARD_ATTEMPTS):
-            try:
-                url = self._worker_url(worker_id)
-            except WorkerUnavailableError as exc:
-                status, payload = _error_body(op, exc)
-                return status, "application/json", payload
+            if url is None:
+                try:
+                    url = await self._revive(worker_id)
+                except WorkerUnavailableError as exc:
+                    status, payload = _error_body(op, exc)
+                    return status, "application/json", payload
             try:
                 # Worker-produced error envelopes pass through verbatim.
-                return self._pool.post(url, path, body, content_type)
-            except (OSError, http.client.HTTPException) as exc:
+                async with asyncio.timeout(self._request_timeout):
+                    return await self._post(url, path, body, content_type)
+            except (OSError, EOFError, ValueError) as exc:
                 last_exc = exc
                 if not (_is_never_sent(exc) or retry_safe):
                     break
-                # The worker died under us; ensure() on the next loop
-                # iteration restarts it (WAL replay first). A breath here
-                # lets the OS reap the dead process.
-                time.sleep(0.05 * (attempt + 1))
+                # The worker died under us; the next attempt asks the
+                # supervisor, which revives it (WAL replay first). A
+                # breath here lets the OS reap the dead process.
+                url = None
+                await asyncio.sleep(0.05 * (attempt + 1))
         assert last_exc is not None
         status, payload = _error_body(op, WorkerUnavailableError(
             f"shard {worker_id!r} failed mid-request and "
@@ -510,23 +575,81 @@ class AuditCluster:
         ))
         return status, "application/json", payload
 
-    def _worker_url(self, worker_id: str) -> str:
-        """The shard's live URL, reviving its worker first if it died.
+    async def _revive(self, worker_id: str) -> str:
+        """The shard's live URL from the supervisor, reviving it if dead.
 
-        Idle connections to a URL the worker no longer listens on are
-        closed here.
+        ``ensure`` holds the supervisor's lock for a whole revive (a
+        spawn plus a WAL replay), so it runs on a thread while the loop
+        keeps serving the other shards. Idle streams to a URL the worker
+        no longer listens on are closed here.
         """
-        url = self._supervisor.ensure(worker_id)
+        url = await asyncio.to_thread(self._supervisor.ensure, worker_id)
         if self._worker_urls.get(worker_id) != url:
             self._forget_worker(worker_id)
+            # A dead worker's port may have gone to this one.
+            for other, known in tuple(self._worker_urls.items()):
+                if known == url:
+                    self._forget_worker(other)
             self._worker_urls[worker_id] = url
         return url
 
     def _forget_worker(self, worker_id: str) -> None:
-        """Close the idle connections to the worker's last known URL."""
-        stale = self._worker_urls.pop(worker_id, None)
-        if stale is not None:
-            self._pool.close_idle(stale)
+        """Drop the worker's cached URL and close its idle streams."""
+        url = self._worker_urls.pop(worker_id, None)
+        for _reader, writer in self._idle.pop(url, ()):
+            writer.close()
+
+    async def _connect(
+        self, url: str
+    ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+        """A fresh stream to a worker; every connect the router makes."""
+        parts = urllib.parse.urlsplit(url)
+        return await asyncio.open_connection(parts.hostname, parts.port)
+
+    async def _post(
+        self, url: str, path: str, body: bytes, content_type: str
+    ) -> tuple[int, str, bytes]:
+        """POST on an idle or fresh stream; ``(status, content type, body)``.
+
+        The stream goes back to the idle list only after its reply was
+        read to the end, and only while ``url`` is still a worker's.
+        """
+        idle = self._idle.get(url)
+        stream = None
+        while idle:
+            candidate = idle.pop()
+            if _is_reusable(*candidate):
+                stream = candidate
+                break
+            candidate[1].close()
+        reader, writer = stream or await self._connect(url)
+        try:
+            head = (
+                f"POST {path} HTTP/1.1\r\n"
+                f"Host: {url.partition('//')[2]}\r\n"
+                f"Content-Type: {content_type}\r\n"
+                f"Content-Length: {len(body)}\r\n"
+                "\r\n"
+            )
+            writer.write(head.encode("latin-1") + body)
+            await writer.drain()
+            status_line = await reader.readline()
+            if not status_line:
+                raise asyncio.IncompleteReadError(b"", None)
+            _version, code, *_reason = status_line.split(None, 2)
+            status = int(code)
+            headers, data = await _read_message(reader)
+        except BaseException:
+            writer.close()
+            raise
+        if (
+            headers.get("connection", "").lower() == "close"
+            or url not in self._worker_urls.values()
+        ):
+            writer.close()
+        else:
+            self._idle.setdefault(url, []).append((reader, writer))
+        return status, headers.get("content-type", "application/json"), data
 
     # ------------------------------------------------------------------
     # submit: fan out per shard, fan back in input order
@@ -548,8 +671,7 @@ class AuditCluster:
             groups.setdefault(owner, []).append(event)
 
         async def _one(worker_id: str, group: list[AlertEvent]):
-            status, _ctype, payload = await asyncio.to_thread(
-                self._forward,
+            status, _ctype, payload = await self._forward(
                 worker_id,
                 "/v1/submit",
                 encode_ndjson(group).encode("utf-8"),
@@ -594,19 +716,18 @@ class AuditCluster:
         return 200, "application/x-ndjson", payload
 
     # ------------------------------------------------------------------
-    # stats / healthz: fan in across every shard
+    # stats / healthz: fan in across every shard, concurrently
     # ------------------------------------------------------------------
 
-    def _stats_fanin(self) -> ServiceStats:
+    async def _stats_fanin(self) -> ServiceStats:
+        worker_ids = self._ring.workers
+        request = _dump({"op": OP_STATS, "version": PROTOCOL_VERSION})
+        replies = await asyncio.gather(*(
+            self._forward(worker_id, "/v1/stats", request, True, OP_STATS)
+            for worker_id in worker_ids
+        ))
         parts: list[ServiceStats] = []
-        for worker_id in self._ring.workers:
-            status, _ctype, payload = self._forward(
-                worker_id,
-                "/v1/stats",
-                _dump({"op": OP_STATS, "version": PROTOCOL_VERSION}),
-                True,
-                OP_STATS,
-            )
+        for worker_id, (_status, _ctype, payload) in zip(worker_ids, replies):
             doc = json.loads(payload)
             if not doc.get("ok"):
                 raise WorkerUnavailableError(
@@ -615,54 +736,67 @@ class AuditCluster:
             parts.append(ServiceStats.from_dict(doc["payload"]["stats"]))
         return ServiceStats.merge(tuple(parts))
 
-    def _health_fanin(self) -> dict:
+    async def _health_fanin(self) -> dict:
+        worker_ids = self._ring.workers
+        checks = await asyncio.gather(
+            *(self._health_check(worker_id) for worker_id in worker_ids)
+        )
+        # Read once the forwards (which may have revived a worker) are
+        # done, and off the loop: a revive holds the supervisor's lock.
+        states = await asyncio.to_thread(self._worker_states, worker_ids)
         tenants: list[str] = []
         workers: dict[str, dict] = {}
-        all_ok = True
-        for worker_id in self._ring.workers:
-            entry: dict = {
-                "alive": self._supervisor.is_alive(worker_id),
-                "restarts": self._supervisor.restarts(worker_id),
-                "pid": self._supervisor.pid(worker_id),
-            }
-            try:
-                status, _ctype, payload = self._forward(
-                    worker_id,
-                    "/v1/healthz",
-                    _dump({"op": OP_HEALTHZ, "version": PROTOCOL_VERSION}),
-                    True,
-                    OP_HEALTHZ,
-                )
-                doc = json.loads(payload)
-                ok = bool(doc.get("ok"))
-                if ok:
-                    tenants.extend(doc["payload"]["tenants"])
-                    entry["alive"] = True
-                    entry["pid"] = self._supervisor.pid(worker_id)
-                    entry["restarts"] = self._supervisor.restarts(worker_id)
-                entry["ok"] = ok
-            except Exception as exc:
-                entry["ok"] = False
-                entry["error"] = str(exc)
-            all_ok = all_ok and entry["ok"]
+        for worker_id, (entry, found) in zip(worker_ids, checks):
+            entry.update(states[worker_id])
+            if entry["ok"]:
+                tenants.extend(found)
+                entry["alive"] = True
             workers[worker_id] = entry
         return {
-            "ok": all_ok,
+            "ok": all(entry["ok"] for entry in workers.values()),
             "protocol": PROTOCOL_VERSION,
             "tenants": tenants,
             "cluster": True,
             "workers": workers,
         }
 
-    def _envelope_fanin(self, op: str) -> tuple[int, str, bytes]:
+    async def _health_check(self, worker_id: str) -> tuple[dict, list[str]]:
+        """One shard's ``healthz``: its entry so far and its tenants."""
+        try:
+            _status, _ctype, payload = await self._forward(
+                worker_id,
+                "/v1/healthz",
+                _dump({"op": OP_HEALTHZ, "version": PROTOCOL_VERSION}),
+                True,
+                OP_HEALTHZ,
+            )
+            doc = json.loads(payload)
+            if doc.get("ok"):
+                return {"ok": True}, doc["payload"]["tenants"]
+            return {"ok": False}, []
+        except Exception as exc:
+            return {"ok": False, "error": str(exc)}, []
+
+    def _worker_states(self, worker_ids) -> dict[str, dict]:
+        """Supervisor state per worker; blocks while a revive runs."""
+        return {
+            worker_id: {
+                "alive": self._supervisor.is_alive(worker_id),
+                "restarts": self._supervisor.restarts(worker_id),
+                "pid": self._supervisor.pid(worker_id),
+            }
+            for worker_id in worker_ids
+        }
+
+    async def _envelope_fanin(self, op: str) -> tuple[int, str, bytes]:
         try:
             if op == OP_STATS:
-                merged = self._stats_fanin()
+                merged = await self._stats_fanin()
                 response = Response.success(
                     OP_STATS, {"stats": merged.to_dict()}
                 )
             else:
-                health = self._health_fanin()
+                health = await self._health_fanin()
                 response = Response.success(OP_HEALTHZ, health)
             return 200, "application/json", response.to_json().encode("utf-8")
         except Exception as exc:
@@ -670,16 +804,16 @@ class AuditCluster:
             return status, "application/json", payload
 
     def _topology(self) -> dict:
+        worker_ids = self._ring.workers
+        states = self._worker_states(worker_ids)
         return {
             "workers": [
                 {
                     "id": worker_id,
-                    "alive": self._supervisor.is_alive(worker_id),
-                    "pid": self._supervisor.pid(worker_id),
-                    "restarts": self._supervisor.restarts(worker_id),
+                    **states[worker_id],
                     "state_dir": str(self.shard_dir(worker_id)),
                 }
-                for worker_id in self._ring.workers
+                for worker_id in worker_ids
             ],
             "ring": {
                 "replicas": self._ring.replicas,
@@ -761,7 +895,7 @@ class AuditCluster:
             # WAL appends flush per record, so nothing is in flight).
             for worker_id in sorted(affected):
                 self._supervisor.stop(worker_id)
-                self._forget_worker(worker_id)
+                self._call_on_loop(self._forget_worker, worker_id)
             # 4. Move the WAL files to their new owners.
             from repro.logstore.wal import WAL_SUFFIX
 

@@ -23,8 +23,9 @@ learns each bound URL over a pipe, and keeps them alive:
 
 The supervisor is transport-agnostic glue: routing lives in
 :mod:`repro.api.cluster`, durability in the shard WALs. Everything here
-is thread-safe behind one lock, so the router's event loop, its health
-monitor, and on-demand revives can all call in concurrently.
+is thread-safe behind one lock, so the router's revive threads, a health
+monitor, and rebalances can all call in concurrently; a revive holds
+the lock throughout, so the router never calls in from its event loop.
 """
 
 from __future__ import annotations
@@ -268,10 +269,11 @@ class WorkerSupervisor:
     def ensure(self, worker_id: str) -> str:
         """The worker's URL, restarting the process first if it died.
 
-        The router calls this before every forward: a live worker costs
-        one lock + liveness check; a dead one is restarted under the
+        The router calls this, on a thread, when it has no URL for the
+        worker yet or a forward to it failed: a live worker costs one
+        lock + liveness check; a dead one is restarted under the
         bounded-restart budget (WAL replay brings its state back before
-        the new URL is returned).
+        the new URL is returned) while the lock is held.
         """
         with self._lock:
             handle = self._handle(worker_id)

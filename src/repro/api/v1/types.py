@@ -13,7 +13,9 @@ state, so every message can be logged, shipped over a wire, and replayed.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -32,6 +34,34 @@ SESSION_CLOSED = "closed"
 SESSION_ATTACKERS = ("rational", "bayesian_learning", "no_regret")
 
 
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def _plain(value: Any) -> Any:
+    """``value`` as :func:`dataclasses.asdict` converts a field.
+
+    Dataclasses become dicts and lists, tuples and dicts are rebuilt, so
+    the result shares no mutable container with ``value``; scalars are
+    immutable and kept as they are, where ``asdict`` deep-copies each.
+    """
+    if isinstance(value, (str, int, float)) or value is None:
+        return value
+    if isinstance(value, (list, tuple)):
+        return type(value)(_plain(item) for item in value)
+    if isinstance(value, dict):
+        return type(value)(
+            (_plain(key), _plain(item)) for key, item in value.items()
+        )
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            name: _plain(getattr(value, name))
+            for name in _field_names(type(value))
+        }
+    return copy.deepcopy(value)
+
+
 class _Payload:
     """Shared serde for the API dataclasses.
 
@@ -41,8 +71,14 @@ class _Payload:
     """
 
     def to_dict(self) -> dict[str, Any]:
-        """Plain-dict form (JSON-compatible values only)."""
-        return dataclasses.asdict(self)
+        """Plain-dict form (JSON-compatible values only).
+
+        Equal to :func:`dataclasses.asdict` of the payload.
+        """
+        return {
+            name: _plain(getattr(self, name))
+            for name in _field_names(type(self))
+        }
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]):

@@ -28,6 +28,7 @@ from repro.experiments.config import (
 from repro.experiments.dataset import build_alert_store
 from repro.experiments.figure2 import run_figure2
 from repro.experiments.report import render_table
+from repro.solvers.registry import warm_up
 from repro.stats.diurnal import SECONDS_PER_DAY
 from repro.stats.poisson import PoissonReciprocalMoment
 
@@ -342,6 +343,8 @@ def run_backend_comparison(
 
     gaps = []
     timings = {"scipy": 0.0, "simplex": 0.0}
+    for backend in timings:
+        warm_up(backend)
     # Shared memo: both backends see identical theta coefficients and the
     # timings compare LP work, not reciprocal-moment recomputation.
     moment = PoissonReciprocalMoment()

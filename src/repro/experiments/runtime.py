@@ -36,6 +36,7 @@ from repro.experiments.config import (
 )
 from repro.experiments.dataset import build_alert_store
 from repro.logstore.store import AlertLogStore
+from repro.solvers.registry import warm_up
 from repro.stats.diurnal import SECONDS_PER_DAY
 from repro.stats.estimator import FutureAlertEstimator, RollbackEstimator
 
@@ -86,6 +87,7 @@ def run_runtime(
     alerts = harness.test_alerts(split)
     if max_alerts is not None:
         alerts = alerts[:max_alerts]
+    warm_up(backend)
     result = run_cycle(OSSPPolicy(), alerts, harness.context_for(split))
     latencies = np.asarray(result.solve_seconds)
     return RuntimeResult(
@@ -239,6 +241,7 @@ def run_engine_comparison(
     baseline = SignalingAuditGame(
         base_config, fresh_estimator(), rng=np.random.default_rng(seed)
     )
+    warm_up(baseline_backend)
     started = _time.perf_counter()
     baseline_values = np.array(
         [

@@ -1,13 +1,14 @@
 """SciPy (HiGHS) backend for :class:`~repro.solvers.problem.LinearProgram`.
 
 SciPy's ``linprog`` minimizes, so the canonical maximization objective is
-negated on the way in and the optimum negated on the way back.
+negated on the way in and the optimum negated on the way back. SciPy is
+imported on the first solve: serving processes, whose sessions decide
+through analytic solves, tables and caches, never load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.solvers.problem import LinearProgram
 from repro.solvers.result import LPSolution, SolveStatus
@@ -23,8 +24,15 @@ _STATUS_MAP = {
 }
 
 
+def load() -> None:
+    """Import SciPy's solver now rather than on the first solve."""
+    from scipy.optimize import linprog  # noqa: F401
+
+
 def solve(program: LinearProgram, **_ignored: object) -> LPSolution:
     """Solve ``program`` with ``scipy.optimize.linprog`` (HiGHS)."""
+    from scipy.optimize import linprog
+
     result = linprog(
         c=-program.c,
         A_ub=program.a_ub if program.a_ub.shape[0] else None,

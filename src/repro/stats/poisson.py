@@ -154,11 +154,19 @@ class PoissonReciprocalMoment:
         return value
 
     def slope(self, lam: float) -> float:
-        """Memoized :func:`expected_reciprocal_slope` (same rounded key)."""
+        """Memoized :func:`expected_reciprocal_slope` (same rounded key).
+
+        The closed form reuses the memoized moment instead of summing the
+        series again; the expression and its inputs are the same, so the
+        value is bit-identical.
+        """
         key = round(float(lam), self._decimals)
         value = self._slopes.get(key)
         if value is None:
-            value = expected_reciprocal_slope(max(key, 0.0))
+            if key <= 1e-9:
+                value = -0.25
+            else:
+                value = 1.0 / key - self(key) / (-math.expm1(-key))
             self._slopes[key] = value
         return value
 

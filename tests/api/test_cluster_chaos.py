@@ -17,6 +17,10 @@ so these tests are exact, not timing-dependent.
 import dataclasses
 import http.client
 import json
+import os
+import signal
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -24,6 +28,7 @@ import pytest
 
 from repro.errors import WorkerUnavailableError
 from repro.api import ReproClient, serve_cluster
+from repro.api.cluster import AuditCluster
 from repro.api.v1 import AuditService
 
 from apihelpers import make_config, make_events, make_history
@@ -227,16 +232,25 @@ class TestPersistentConnections:
     """Both hops keep their connections; a dead one is never reused."""
 
     def test_decides_reuse_one_connection_per_hop(self, tmp_path, monkeypatch):
-        connects = []
+        # The client connects through http.client, the router through its
+        # connect helper: one client connection plus exactly one per shard.
+        client_connects = []
+        router_connects = []
         connect = http.client.HTTPConnection.connect
+        router_connect = AuditCluster._connect
 
         def counting_connect(self):
-            connects.append(self.port)
+            client_connects.append(self.port)
             return connect(self)
+
+        async def counting_router_connect(self, url):
+            router_connects.append(url)
+            return await router_connect(self, url)
 
         monkeypatch.setattr(
             http.client.HTTPConnection, "connect", counting_connect
         )
+        monkeypatch.setattr(AuditCluster, "_connect", counting_router_connect)
         with serve_cluster(
             workers=2, state_dir=tmp_path / "cluster"
         ).start_background() as cluster:
@@ -252,8 +266,12 @@ class TestPersistentConnections:
                     for tenant in tenants:
                         client.decide(streams[tenant][index], seq=index + 1)
             router_port = int(cluster.url.rsplit(":", 1)[1])
-            assert connects.count(router_port) == 1
-            assert len(connects) <= 1 + len(cluster.worker_ids)
+            worker_urls = [
+                (cluster.shard_dir(worker) / "worker.url").read_text().strip()
+                for worker in cluster.worker_ids
+            ]
+            assert client_connects == [router_port]
+            assert sorted(router_connects) == sorted(worker_urls)
 
     def test_non_idempotent_ops_after_a_kill_match_the_twin(self, tmp_path):
         """The router held a connection to the killed worker; a request
@@ -278,3 +296,118 @@ class TestPersistentConnections:
             cluster.supervisor.kill(victim)
             assert list(client.submit(tail)) == list(reference.submit(tail))
             assert cluster.supervisor.restarts(victim) == 2
+
+
+class TestRouterNeverBlocks:
+    """Forwards run on the router's event loop; what blocks — a hung
+    worker, a revive holding the supervisor lock — stalls only the
+    requests that wait on it."""
+
+    def test_hung_worker_times_out_while_the_other_shard_answers(
+        self, tmp_path
+    ):
+        timeout = 2.0
+        with serve_cluster(
+            workers=2, state_dir=tmp_path / "cluster", request_timeout=timeout
+        ).start_background() as cluster, ReproClient.connect(
+            cluster.url
+        ) as client:
+            pinned = _pin_tenants(cluster)
+            hung_tenant, live_tenant = (names[0] for names in pinned.values())
+            for tenant in (hung_tenant, live_tenant):
+                client.open_session(make_config(tenant=tenant), make_history())
+            hung_pid = cluster.supervisor.pid(cluster.owner_of(hung_tenant))
+            outcome = {}
+
+            def close_hung_cycle():
+                started = time.monotonic()
+                with ReproClient.connect(cluster.url) as other:
+                    try:
+                        other.close_cycle(hung_tenant)
+                    except WorkerUnavailableError as exc:
+                        outcome["error"] = exc
+                outcome["elapsed"] = time.monotonic() - started
+
+            os.kill(hung_pid, signal.SIGSTOP)
+            try:
+                closer = threading.Thread(target=close_hung_cycle)
+                closer.start()
+                time.sleep(0.2)  # the close_cycle is now waiting on the worker
+                for seq, event in enumerate(
+                    make_events(tenant=live_tenant, n=10), start=1
+                ):
+                    client.decide(event, seq=seq)
+                assert closer.is_alive(), "decides waited for the hung worker"
+                closer.join(timeout=30.0)
+                assert not closer.is_alive()
+            finally:
+                os.kill(hung_pid, signal.SIGCONT)
+            assert isinstance(outcome.get("error"), WorkerUnavailableError)
+            assert timeout <= outcome["elapsed"] < timeout + 5.0
+
+    def test_revive_of_one_shard_does_not_stall_the_other(
+        self, tmp_path, monkeypatch
+    ):
+        reference = AuditService()
+        with serve_cluster(
+            workers=2, state_dir=tmp_path / "cluster"
+        ).start_background() as cluster, ReproClient.connect(
+            cluster.url
+        ) as client:
+            victim, live = cluster.worker_ids
+            pinned = _pin_tenants(cluster, count_per_shard=2)
+            # Table-mode tenants give the victim a deep WAL to replay.
+            for tenant in pinned[victim]:
+                config = make_config(tenant=tenant, budget=50.0, policy_table=True)
+                for target in (client, reference):
+                    target.open_session(config, make_history())
+                for seq, event in enumerate(make_events(tenant=tenant), start=1):
+                    lived, _ = client.decide_idempotent(event, seq=seq)
+                    assert lived == reference.decide_idempotent(event, seq=seq)[0]
+            live_tenant = pinned[live][0]
+            client.open_session(make_config(tenant=live_tenant), make_history())
+
+            # Hold the revive, with the supervisor's lock taken, until the
+            # other shard has answered.
+            reviving = threading.Event()
+            release = threading.Event()
+            revived = threading.Event()
+            restart = cluster.supervisor._restart
+
+            def held_restart(handle):
+                reviving.set()
+                release.wait(timeout=10.0)
+                try:
+                    return restart(handle)
+                finally:
+                    revived.set()
+
+            monkeypatch.setattr(cluster.supervisor, "_restart", held_restart)
+            victim_tenant = pinned[victim][0]
+            next_event = make_events(tenant=victim_tenant, n=40)[-1]
+            outcome = {}
+
+            def decide_on_victim():
+                with ReproClient.connect(cluster.url, timeout=120.0) as other:
+                    outcome["decision"] = other.decide_idempotent(
+                        next_event, seq=31
+                    )
+
+            cluster.supervisor.kill(victim)
+            caller = threading.Thread(target=decide_on_victim)
+            caller.start()
+            try:
+                assert reviving.wait(timeout=30.0)
+                for seq, event in enumerate(
+                    make_events(tenant=live_tenant, n=10), start=1
+                ):
+                    client.decide(event, seq=seq)
+                assert not revived.is_set(), "the live shard waited for the revive"
+            finally:
+                release.set()
+                caller.join(timeout=120.0)
+            assert not caller.is_alive()
+            assert outcome["decision"] == reference.decide_idempotent(
+                next_event, seq=31
+            )
+            assert cluster.supervisor.restarts(victim) == 1

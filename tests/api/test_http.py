@@ -17,6 +17,7 @@ import pytest
 
 import repro
 from repro.api import ReproClient, serve_cluster, serve_http
+from repro.api.cluster import AuditCluster
 from repro.api.http import STATUS_BY_CODE, ConnectionPool
 from repro.api.protocol import (
     ProtocolHandler,
@@ -299,17 +300,24 @@ class TestKeepAlive:
     ):
         # The same through the cluster router: a submit fanned out to both
         # shards, then close_cycle, on one client connection — and the
-        # router reuses one connection per shard for all of it.
+        # router reuses one connection per shard for all of it. The client
+        # connects through http.client, the router through its helper.
         connects = []
         connect = http.client.HTTPConnection.connect
+        router_connect = AuditCluster._connect
 
         def counting_connect(self):
             connects.append(self.port)
             return connect(self)
 
+        async def counting_router_connect(self, url):
+            connects.append(int(url.rsplit(":", 1)[1]))
+            return await router_connect(self, url)
+
         monkeypatch.setattr(
             http.client.HTTPConnection, "connect", counting_connect
         )
+        monkeypatch.setattr(AuditCluster, "_connect", counting_router_connect)
         with serve_cluster(
             workers=2, state_dir=tmp_path / "cluster"
         ).start_background() as cluster:

@@ -1,5 +1,6 @@
 """JSON round-trip contract of the v1 API payload types."""
 
+import dataclasses
 import json
 
 import pytest
@@ -13,6 +14,7 @@ from repro.api.v1 import (
     SessionStats,
     SignalDecision,
 )
+from repro.api.protocol import ErrorBody, Request, Response
 from repro.core.payoffs import PayoffMatrix
 from repro.scenarios import ScenarioSpec
 
@@ -91,6 +93,88 @@ class TestRoundTrips:
         )
         json.dumps(config.to_dict())
         json.dumps(_decision().to_dict())
+
+
+def _per_tenant():
+    return (
+        SessionStats(
+            tenant="a", state="open", cycle=1, cycles_closed=1,
+            events=10, sse_solves=6, cache_hits=4, cache_entries=6,
+            wall_seconds=0.25, budget_remaining=3.0, learning_cycles=1,
+            regret=0.5,
+        ),
+        SessionStats(
+            tenant="b", state="closed", cycle=0, cycles_closed=0,
+            events=2, sse_solves=2, cache_hits=0, cache_entries=2,
+            wall_seconds=0.05, budget_remaining=20.0,
+        ),
+    )
+
+
+def _payloads():
+    decision = _decision()
+    return [
+        AlertEvent(tenant="a", type_id=3, time_of_day=42.5, event_id=7),
+        AlertEvent(tenant="a", type_id=3, time_of_day=42.5),
+        decision,
+        CycleReport(
+            tenant="a", cycle=2, alerts=10, warnings_sent=3,
+            budget_initial=20.0, budget_final=1.5, mean_game_value=-50.0,
+            final_game_value=-80.0, backend="analytic", sse_solves=6,
+            cache_hits=4, cache_entries=6, wall_seconds=0.5, fallbacks=2,
+        ),
+        _per_tenant()[0],
+        ServiceStats.from_sessions(_per_tenant()),
+        Request(
+            op="decide",
+            payload={"event": {"tenant": "a", "type_id": 1, "tags": [1, 2]}},
+            seq=3,
+        ),
+        Request(op="close_cycle", tenant="a", idempotency_key="k-1"),
+        Response.success(
+            "decide", {"decision": decision.to_dict(), "replayed": False}, seq=3
+        ),
+        Response(op="decide", ok=False, error=ErrorBody("unknown_tenant", "no b")),
+        ErrorBody(code="worker_unavailable", message="shard down"),
+    ]
+
+
+class TestToDict:
+    """``to_dict`` builds the dict itself; it must equal ``asdict``."""
+
+    @pytest.mark.parametrize(
+        "payload", _payloads(), ids=lambda p: type(p).__name__
+    )
+    def test_equals_dataclasses_asdict(self, payload):
+        converted = payload.to_dict()
+        assert converted == dataclasses.asdict(payload)
+        assert json.dumps(converted, sort_keys=True) == json.dumps(
+            dataclasses.asdict(payload), sort_keys=True
+        )
+
+    def test_nested_containers_are_copies(self):
+        stats = ServiceStats.from_sessions(_per_tenant())
+        converted = stats.to_dict()
+        converted["per_tenant"][0]["events"] = -1
+        assert stats.per_tenant[0].events == 10
+        request = Request(op="decide", payload={"event": {"tags": [1, 2]}})
+        converted = request.to_dict()
+        converted["payload"]["event"]["tags"].append(3)
+        converted["payload"]["extra"] = True
+        assert request.payload == {"event": {"tags": [1, 2]}}
+        response = Response(op="stats", ok=False, error=ErrorBody("x", "y"))
+        converted = response.to_dict()
+        converted["error"]["code"] = "changed"
+        assert response.error.code == "x"
+
+    def test_session_config_keeps_its_override(self):
+        config = SessionConfig(
+            tenant="a", budget=20.0, payoffs={1: PAY}, costs={1: 1.0}
+        )
+        converted = config.to_dict()
+        assert converted["payoffs"] == {"1": dataclasses.asdict(PAY)}
+        assert converted["costs"] == {"1": 1.0}
+        assert SessionConfig.from_dict(converted) == config
 
 
 class TestValidation:

@@ -1,7 +1,15 @@
 """Direct tests of the SciPy backend's status mapping and conversions."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.solvers import LinearProgram
 from repro.solvers.result import SolveStatus
@@ -63,3 +71,56 @@ class TestScipyBackend:
             solution = solve(lp)
             assert solution.status is SolveStatus.OPTIMAL
             assert lp.is_feasible(solution.x, tol=1e-6)
+
+
+class TestLazyImport:
+    def test_serving_sessions_never_load_scipy(self):
+        # Table and certified-cache sessions decide through the analytic
+        # solver; SciPy loads only when a generic LP is solved on it.
+        script = textwrap.dedent("""
+            import sys
+
+            import numpy as np
+
+            import repro, repro.api, repro.cli
+            from repro.api.v1 import AlertEvent, AuditSession, SessionConfig
+            from repro.core.payoffs import PayoffMatrix
+
+            pay = PayoffMatrix(u_dc=100.0, u_du=-400.0, u_ac=-2000.0, u_au=400.0)
+            times = np.linspace(1000, 80000, 60)
+            history = {1: [times.copy(), times.copy(), times.copy()]}
+            common = dict(budget=50.0, payoffs={1: pay}, costs={1: 1.0},
+                          backend="analytic")
+            configs = (
+                SessionConfig(tenant="table", policy_table=True, **common),
+                SessionConfig(tenant="cache", cache_budget_step=0.5,
+                              cache_rate_step=1.0, cache_error_budget=1e-6,
+                              **common),
+            )
+            for config in configs:
+                session = AuditSession.open(config, history)
+                for time_of_day in (2000.0, 30000.0, 60000.0):
+                    session.decide(AlertEvent(tenant=config.tenant, type_id=1,
+                                              time_of_day=time_of_day))
+                session.close_cycle()
+            loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+            assert not loaded, loaded
+
+            from repro.solvers import LinearProgram
+            from repro.solvers.registry import solve
+            program = LinearProgram(c=np.array([2.0]), bounds=((0.0, 3.0),))
+            assert solve(program, backend="scipy").objective == 6.0
+            assert "scipy.optimize" in sys.modules
+        """)
+        source_root = str(Path(repro.__file__).resolve().parent.parent)
+        path = os.pathsep.join(
+            [source_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert completed.returncode == 0, completed.stderr

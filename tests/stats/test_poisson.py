@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import EstimationError
+from repro.stats import poisson
 from repro.stats.poisson import (
     PoissonReciprocalMoment,
     expected_reciprocal,
@@ -181,3 +182,26 @@ class TestMemoization:
         moment = PoissonReciprocalMoment()
         for lam in (0.0, 0.3, 4.0, 50.0):
             assert moment(lam) == pytest.approx(expected_reciprocal(lam))
+
+    @pytest.mark.parametrize(
+        "lam", [0.0, 1e-10, 1e-9, 0.5, 7.0, 700.0, 746.0, 1e4]
+    )
+    def test_slope_is_bit_equal_to_the_closed_form(self, lam):
+        assert PoissonReciprocalMoment().slope(lam) == expected_reciprocal_slope(lam)
+
+    def test_each_key_sums_the_series_once(self, monkeypatch):
+        summed = []
+        original = poisson.expected_reciprocal
+
+        def counting(lam, *args, **kwargs):
+            summed.append(lam)
+            return original(lam, *args, **kwargs)
+
+        monkeypatch.setattr(poisson, "expected_reciprocal", counting)
+        moment = PoissonReciprocalMoment()
+        for lam in (0.5, 7.0, 700.0, 0.5, 7.0):
+            moment(lam)
+            moment.slope(lam)
+        moment.slope(3.0)
+        moment(3.0)
+        assert sorted(summed) == [0.5, 3.0, 7.0, 700.0]
