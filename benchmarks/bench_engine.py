@@ -11,11 +11,12 @@ contract — accuracy is gated alongside speed, in quick CI runs too).
 A second section replays the identical stream in **policy-table mode**
 (the precompiled certified table, the zero-solve steady-state path): its
 verified per-state gap is gated by the same :data:`MAX_GAME_VALUE_GAP`
-ceiling and its loop wall clock must beat the solve+cache path by at
-least :data:`MIN_TABLE_SPEEDUP` — both enforced in quick CI runs too,
-because they are invariants, not machine-speed claims. The absolute
-``decisions_per_second`` figure is recorded (not gated; it tracks the
-runner's hardware).
+ceiling, its loop wall clock must beat the solve+cache path by at
+least :data:`MIN_TABLE_SPEEDUP`, and the traced peak memory of one
+table compile must stay under :data:`MAX_COMPILE_PEAK_MIB` — all
+enforced in quick CI runs too, because they are invariants, not
+machine-speed claims. The absolute ``decisions_per_second`` figure is
+recorded (not gated; it tracks the runner's hardware).
 
 The run writes all measurements to ``BENCH_engine.json``, which CI
 uploads as an artifact.
@@ -53,6 +54,13 @@ MIN_TABLE_SPEEDUP = 2.0
 #: Timing repeats for the table section's throughput figure (the table
 #: loop is fast enough that scheduler noise dominates a single run).
 TABLE_REPEATS = 3
+
+#: Ceiling on the ``tracemalloc`` peak of one table compile (quick runs
+#: included; memory does not depend on the runner's CPU). The stream's
+#: 5,914-column table compiles in about 22 MiB solved in small column
+#: blocks, against about 140 MiB when 512-column chunks carried the full
+#: breakpoint comparison tensor and dense decision grids.
+MAX_COMPILE_PEAK_MIB = 64.0
 
 
 def run_bench(
@@ -126,6 +134,38 @@ def _time_table_stream(
     return report.wall_seconds
 
 
+def _compile_peak_mib(seed: int, error_budget: float | None) -> float:
+    """Traced peak (MiB) of one compile of the stream's policy table."""
+    import tracemalloc
+
+    from repro.core.game import CHARGE_EXPECTED, SAGConfig
+    from repro.engine.policy_table import PolicyTableCompiler
+    from repro.experiments.runtime import synthetic_stream_workload
+    from repro.stats.estimator import FutureAlertEstimator, RollbackEstimator
+
+    payoffs, costs, history, _, _ = synthetic_stream_workload(
+        n_types=5, n_alerts=1, seed=seed
+    )
+    compiler = PolicyTableCompiler(
+        SAGConfig(
+            payoffs=payoffs,
+            costs=costs,
+            budget=50.0,
+            backend="analytic",
+            budget_charging=CHARGE_EXPECTED,
+        ),
+        RollbackEstimator(FutureAlertEstimator(history)),
+        error_budget=error_budget,
+    )
+    tracemalloc.start()
+    try:
+        compiler.compile()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
+
+
 def run_table_bench(
     n_alerts: int,
     seed: int,
@@ -141,6 +181,8 @@ def run_table_bench(
     stream supply a stable loop-wall figure without paying the per-alert
     LP baseline again. ``speedup_vs_cache`` compares against the
     solve+cache section's loop wall on the identical stream.
+    ``compile_peak_mib`` traces one more compile of the same table,
+    outside the timed runs.
     """
     result = run_engine_comparison(
         n_types=5,
@@ -168,6 +210,7 @@ def run_table_bench(
         "table_hit_rate": result.table_hit_rate,
         "fallbacks": result.fallbacks,
         "compile_seconds": result.compile_seconds,
+        "compile_peak_mib": _compile_peak_mib(seed, error_budget),
         "error_budget": result.error_budget,
         "mean_game_value_gap": result.mean_game_value_gap,
         "max_game_value_gap": result.max_game_value_gap,
@@ -242,6 +285,13 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         failed = True
+    if table["compile_peak_mib"] > MAX_COMPILE_PEAK_MIB:
+        print(
+            f"FAIL: table compile peak {table['compile_peak_mib']:.1f} MiB "
+            f"above the {MAX_COMPILE_PEAK_MIB:.0f} MiB ceiling",
+            file=sys.stderr,
+        )
+        failed = True
     if not args.quick and payload["speedup"] < MIN_SPEEDUP:
         print(
             f"FAIL: speedup {payload['speedup']:.1f}x below the "
@@ -280,7 +330,8 @@ def _format(payload: dict) -> str:
         f"{table['fallbacks']} fallbacks\n"
         f"  table gap    : {table['max_game_value_gap']:.3e} max "
         f"(gate {MAX_GAME_VALUE_GAP:.0e}, compiled in "
-        f"{table['compile_seconds']:.2f} s)"
+        f"{table['compile_seconds']:.2f} s, peak "
+        f"{table['compile_peak_mib']:.1f} MiB of {MAX_COMPILE_PEAK_MIB:.0f})"
     )
 
 

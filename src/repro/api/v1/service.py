@@ -650,6 +650,9 @@ class AuditService:
                 async for event in _ensure_async(events):
                     decision = await asyncio.to_thread(self.decide, event)
                     await queue.put(decision)
+            except asyncio.CancelledError:
+                # The consumer is gone: nothing will drain a full queue.
+                raise
             except BaseException as exc:  # propagated to the consumer
                 await queue.put(exc)
             else:

@@ -193,37 +193,35 @@ class GridSolution:
     state, evaluated for ``K`` coefficient vectors ("columns") crossed with
     ``N`` budgets in one NumPy pass. The per-candidate water-filling
     geometry splits into a budget-independent part shared by every column
-    (the bound lines ``a``/``b``, the coverage breakpoints ``xs`` and box
-    cap ``x_cap`` — pure payoff algebra, since theta coefficients are
-    strictly positive) and a per-column part (``g`` evaluated at the
-    breakpoints, weighted by that column's reciprocal coefficients). The
-    compiled policy table serves *exact* per-state solutions from ``g``
-    alone; the dense per-grid-point arrays certify cells and back the
-    stored decision tables.
+    (the bound lines ``a``/``b``, the coverage breakpoints ``xs`` and the
+    box feasibility ``feasible_cap`` — pure payoff algebra, since theta
+    coefficients are strictly positive) and a per-column part (``g``
+    evaluated at the breakpoints, weighted by that column's reciprocal
+    coefficients). The compiled policy table serves *exact* per-state
+    solutions from ``g`` alone; the per-grid-point values and winners
+    certify its cells.
 
     Attributes
     ----------
     type_ids:
         Sorted alert types; every candidate axis is ordered by this.
-    budgets:
-        The budget grid, ascending, shape ``(N,)``.
     a, b:
         Best-response lower-bound lines, shape ``(n, n)`` (row: candidate).
     xs:
         Candidate coverage breakpoints, shape ``(n, n + 2)``, ascending.
-    x_cap:
-        Budget-independent coverage cap per candidate, shape ``(n,)``.
+    feasible_cap:
+        Shape ``(n,)``; whether each candidate's budget-independent
+        coverage cap admits any coverage at all.
     g:
         Budget needed to support each coverage breakpoint, per column:
         shape ``(K, n, n + 2)``; ``g[:, :, 0]`` is the candidate's entry
         cost (budget needed for its cheapest feasible allocation).
-    feasible:
-        Shape ``(K, n, N)``; candidate feasibility at each grid state.
     x_star:
-        Optimal candidate coverage at each grid state, shape ``(K, n, N)``.
-    values / attacker:
-        Auditor / attacker utilities at ``x_star`` (auditor ``-inf`` when
-        infeasible), shape ``(K, n, N)``.
+        Optimal candidate coverage at each grid state, shape ``(K, n, N)``
+        (0 where the candidate is infeasible).
+    values:
+        Auditor utility at ``x_star``, ``-inf`` where the candidate is
+        infeasible, shape ``(K, n, N)``.
     winners:
         Canonical winning-candidate *index* per grid state (same
         tie-breaking as :func:`~repro.core.sse.select_candidate`), shape
@@ -231,17 +229,37 @@ class GridSolution:
     """
 
     type_ids: tuple[int, ...]
-    budgets: np.ndarray
     a: np.ndarray
     b: np.ndarray
     xs: np.ndarray
-    x_cap: np.ndarray
+    feasible_cap: np.ndarray
     g: np.ndarray
-    feasible: np.ndarray
     x_star: np.ndarray
     values: np.ndarray
-    attacker: np.ndarray
     winners: np.ndarray
+
+
+def _breakpoint_index(g: np.ndarray, within: np.ndarray) -> np.ndarray:
+    """Last breakpoint of each ``g`` row at or below each threshold.
+
+    ``g`` has shape ``(..., m)`` and ``within`` is an ascending threshold
+    axis of shape ``(N,)``; the result, shape ``(..., N)``, is
+    ``clip(#{k : g[..., k] <= within[i]} - 1, 0, m - 1)``. Since
+    ``within`` is sorted, ``g[..., k] <= within[i]`` holds exactly when
+    ``i`` is at or past the left insertion point of ``g[..., k]``, so a
+    per-row histogram of insertion points, accumulated along the
+    threshold axis, counts the same breakpoints as the full
+    ``(..., m, N)`` comparison — whatever the order of ``g`` along ``k``
+    — without materializing it.
+    """
+    m = g.shape[-1]
+    n_within = within.shape[0]
+    first = np.searchsorted(within, g, side="left").reshape(-1, m)
+    n_rows = first.shape[0]
+    first += (np.arange(n_rows) * (n_within + 1))[:, None]
+    counts = np.bincount(first.ravel(), minlength=n_rows * (n_within + 1))
+    below = counts.reshape(n_rows, n_within + 1).cumsum(axis=1)[:, :n_within]
+    return np.clip(below - 1, 0, m - 1).reshape(g.shape[:-1] + (n_within,))
 
 
 def solve_grid_analytic(
@@ -256,7 +274,8 @@ def solve_grid_analytic(
     ``coefficients`` holds one strictly-positive theta-coefficient vector
     per rate column (shape ``(K, n)``, columns ordered by sorted type id).
     The result covers all ``K x N`` states. Memory scales as
-    ``K * n * N``; chunk the columns for large grids.
+    ``K * n * N``; stream the columns in blocks for large grids (each
+    column's solution is independent of the others).
     """
     if type_ids is None:
         type_ids = sorted(payoffs)
@@ -270,7 +289,7 @@ def solve_grid_analytic(
         )
     if np.any(coef <= 0.0) or not np.all(np.isfinite(coef)):
         raise ModelError("grid theta coefficients must be finite and positive")
-    if budgets.ndim != 1 or budgets.size < 1 or np.any(np.diff(budgets) <= 0):
+    if budgets.ndim != 1 or budgets.size < 1 or not np.all(np.diff(budgets) > 0):
         raise ModelError("budgets must be a strictly increasing 1-D grid")
 
     u_dc = np.array([payoffs[t].u_dc for t in type_ids])
@@ -305,26 +324,19 @@ def solve_grid_analytic(
     inv_coef = 1.0 / coef  # (K, n)
     g = np.einsum("ckt,jt->jck", support, inv_coef)  # (K, n, m)
 
-    entry = g[:, :, 0]
+    within = budgets + _FEAS_TOL
     feasible = feasible_cap[None, :, None] & (
-        entry[:, :, None] <= budgets[None, None, :] + _FEAS_TOL
+        g[:, :, 0, None] <= within[None, None, :]
     )
 
     # Largest breakpoint within budget, then segment interpolation — the
     # same water-filling inversion as the single-state path, broadcast.
-    idx = np.clip(
-        np.sum(g[:, :, :, None] <= budgets[None, None, None, :] + _FEAS_TOL, axis=2)
-        - 1,
-        0,
-        m - 1,
-    )  # (K, n, N)
-    xs_cols = np.broadcast_to(xs[None, :, :], g.shape)
-    x_lo = np.take_along_axis(xs_cols, idx, axis=2)
-    g_lo = np.take_along_axis(g, idx, axis=2)
+    idx = _breakpoint_index(g, within)  # (K, n, N)
     idx_next = np.minimum(idx + 1, m - 1)
-    x_hi = np.take_along_axis(xs_cols, idx_next, axis=2)
-    g_hi = np.take_along_axis(g, idx_next, axis=2)
-    dg = g_hi - g_lo
+    x_lo = xs[diag[:, None], idx]
+    x_hi = xs[diag[:, None], idx_next]
+    g_lo = np.take_along_axis(g, idx, axis=2)
+    dg = np.take_along_axis(g, idx_next, axis=2) - g_lo
     with np.errstate(divide="ignore", invalid="ignore"):
         step = np.where(
             dg > 0.0, (budgets[None, None, :] - g_lo) * (x_hi - x_lo) / dg, 0.0
@@ -351,16 +363,13 @@ def solve_grid_analytic(
 
     return GridSolution(
         type_ids=type_ids,
-        budgets=budgets,
         a=a,
         b=b,
         xs=xs,
-        x_cap=x_cap,
+        feasible_cap=feasible_cap,
         g=g,
-        feasible=feasible,
         x_star=x_star,
         values=values,
-        attacker=attacker,
         winners=winners,
     )
 

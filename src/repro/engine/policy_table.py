@@ -32,27 +32,30 @@ ahead of time:
   Uncertified cells (winner handoffs, tie regions) are marked invalid and
   fall back to the engine's cache path.
 
-The whole grid is solved in one stacked pass
-(:func:`~repro.engine.analytic.solve_grid_analytic`); the compiled artifact
-keeps the dense per-grid-point ``(p1, q1, p0, q0)`` and value arrays plus
-the per-column water-filling geometry needed for exact serving.
-:meth:`CompiledPolicy.lookup` answers a state in microseconds via index
-arithmetic; out-of-region states (budget outside the compiled span, rate
-vectors off the compiled trajectory) return ``None`` and are counted, so
-the engine can fall back and recompile on cycle close.
+The grid is solved by :func:`~repro.engine.analytic.solve_grid_analytic`
+in small blocks of rate columns, so a compile's working set stays near a
+few megabytes whatever the trajectory length; each block is certified and
+packed before the next is solved. The compiled artifact keeps only what
+serving reads: per cell, the certified flag and the winner, and per
+column, the water-filling geometry ``g`` and reciprocal coefficients.
+:meth:`~repro.engine.stream.BatchAuditEngine.process_stream` answers an
+in-region state with index arithmetic plus that closed-form water-filling,
+or :meth:`CompiledPolicy.scan` on an uncertified cell; out-of-region
+states (budget outside the compiled span, effective time past the
+compiled columns) fall back to the cache path and mark the table for
+recompilation on cycle close.
 """
 
 from __future__ import annotations
 
 import time as _time
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ExperimentError
 from repro.core.game import SAGConfig
-from repro.core.sse import _TIE_TOL, SSESolution
+from repro.core.sse import _TIE_TOL
 from repro.engine.analytic import solve_grid_analytic
 from repro.engine.cache import DEFAULT_ERROR_BUDGET
 from repro.stats.estimator import RollbackEstimator
@@ -63,12 +66,10 @@ from repro.stats.poisson import PoissonReciprocalMoment
 #: membership can never disagree with a direct solve inside a valid cell.
 STABILITY_GUARD = 10.0 * _TIE_TOL
 
-#: Column chunk size for the stacked grid solve (bounds peak memory at
-#: roughly ``chunk * n_types * n_grid_points`` floats).
-_CHUNK_COLUMNS = 512
-
-_new = object.__new__
-_setattr = object.__setattr__
+#: Rate columns per block of the grid solve. A block's largest temporaries
+#: hold ``block * n_types * n_grid_points`` floats: about 1 MB each for
+#: seven types on the default 257-point budget grid.
+_BLOCK_COLUMNS = 64
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,13 @@ class TableRegion:
 
 
 class CompiledPolicy:
-    """A dense certified policy table for one game configuration.
+    """A certified policy table for one game configuration.
 
-    Built by :class:`PolicyTableCompiler`; answers
-    :meth:`lookup`/:meth:`solution_at` with *exact* SSE solutions for every
-    certified in-region state, ``None`` otherwise. Instances also keep the
-    dense per-grid-point decision arrays (:attr:`values`, :attr:`p1`,
-    :attr:`q1`, :attr:`p0`, :attr:`q0`) for diagnostics and tests.
+    Built by :class:`PolicyTableCompiler`. Per compiled rate column it
+    holds the water-filling geometry (``g``, ``inv_coef``) and per budget
+    cell the certified flag (``valid``) and the winning candidate
+    (``winner``); together with the shared lines ``a``/``b`` and
+    breakpoints ``xs`` they give the *exact* SSE at any in-region state.
     """
 
     def __init__(
@@ -105,7 +106,6 @@ class CompiledPolicy:
         boundaries: np.ndarray,
         rates: np.ndarray,
         totals: np.ndarray,
-        budgets: np.ndarray,
         payoff_rows: dict[str, tuple[float, ...]],
         costs: tuple[float, ...],
         feasible_cap: tuple[bool, ...],
@@ -116,12 +116,6 @@ class CompiledPolicy:
         g: list[tuple[tuple[float, ...], ...]],
         valid: list[bytes],
         winner: list[bytes],
-        values: np.ndarray,
-        p1: np.ndarray,
-        q1: np.ndarray,
-        p0: np.ndarray,
-        q0: np.ndarray,
-        signaling_enabled: bool,
         compile_seconds: float,
     ) -> None:
         self.type_ids = type_ids
@@ -129,7 +123,6 @@ class CompiledPolicy:
         self.boundaries = boundaries
         self.rates = rates
         self.totals = totals
-        self.budgets = budgets
         self.u_dc = payoff_rows["u_dc"]
         self.u_du = payoff_rows["u_du"]
         self.u_ac = payoff_rows["u_ac"]
@@ -145,100 +138,8 @@ class CompiledPolicy:
         self.g = g
         self.valid = valid
         self.winner = winner
-        self.values = values
-        self.p1 = p1
-        self.q1 = q1
-        self.p0 = p0
-        self.q0 = q0
-        self.signaling_enabled = signaling_enabled
         self.compile_seconds = compile_seconds
         self.index_of = {t: i for i, t in enumerate(type_ids)}
-        self._neg_totals = -totals
-        self.lookup_hits = 0
-        self.lookup_misses = 0
-
-    # -- region arithmetic -------------------------------------------------
-
-    @property
-    def n_columns(self) -> int:
-        """Number of compiled rate columns (trajectory prefix length)."""
-        return self.region.columns
-
-    @property
-    def n_cells(self) -> int:
-        """Number of budget cells per column."""
-        return self.region.budget_cells
-
-    @property
-    def certified_fraction(self) -> float:
-        """Fraction of compiled cells whose winner is certified stable."""
-        total = self.n_columns * self.n_cells
-        if total == 0:
-            return 0.0
-        ok = sum(sum(row) for row in self.valid)
-        return ok / total
-
-    def column_for_time(self, effective_time: float) -> int:
-        """Trajectory row index for one (rollback-effective) query time."""
-        return int(
-            np.searchsorted(self.boundaries, effective_time, side="right")
-        )
-
-    def column_for(self, lambdas: Mapping[int, float]) -> int | None:
-        """Compiled column whose rate vector equals ``lambdas`` exactly.
-
-        The trajectory's total remaining mean is strictly decreasing, so a
-        binary search on the totals pins the only possible row; the
-        per-type comparison then accepts or rejects it bit-exactly.
-        Returns ``None`` for off-trajectory states (the caller falls back).
-        """
-        if len(lambdas) != len(self.type_ids):
-            return None
-        total = 0.0
-        vector = []
-        for t in self.type_ids:
-            lam = lambdas.get(t)
-            if lam is None:
-                return None
-            vector.append(lam)
-            total += lam
-        j = int(np.searchsorted(self._neg_totals, -total, side="left"))
-        for row in (j, j + 1):
-            if 0 <= row < self.region.columns:
-                rates = self.rates[row]
-                if all(rates[i] == vector[i] for i in range(len(vector))):
-                    return row
-        return None
-
-    def cell_for(self, budget: float) -> int | None:
-        """Budget-grid cell index, or ``None`` when outside the span."""
-        region = self.region
-        if not region.budget_floor <= budget <= region.budget_ceiling:
-            return None
-        cell = int((budget - region.budget_floor) / region.budget_step)
-        if cell >= region.budget_cells:
-            cell = region.budget_cells - 1
-        return cell
-
-    # -- serving -----------------------------------------------------------
-
-    def solution_at(self, column: int, budget: float) -> SSESolution | None:
-        """Exact SSE at a compiled column, or ``None`` when out of region.
-
-        Certified cells serve the stored winner directly; uncertified cells
-        (winner handoffs) run the :meth:`scan` over all candidates — still
-        zero-solve, still exact.
-        """
-        cell = self.cell_for(budget)
-        if cell is None or not 0 <= column < self.region.columns:
-            return None
-        if self.valid[column][cell]:
-            return self._serve(column, self.winner[column][cell], budget)
-        found = self.scan(column, budget)
-        if found is None:
-            return None
-        winner, x = found
-        return self._finish(column, winner, x)
 
     def scan(self, column: int, budget: float) -> tuple[int, float] | None:
         """Exact winner + coverage by scanning every candidate.
@@ -302,92 +203,6 @@ class CompiledPolicy:
             if values[i] >= cut and attackers[i] <= att_cut:
                 return c, coverages[i]
         return None  # pragma: no cover - the selection above always lands
-
-    def lookup(
-        self, budget: float, lambdas: Mapping[int, float]
-    ) -> SSESolution | None:
-        """Exact SSE for one state via pure index arithmetic.
-
-        ``None`` means the state is out of the compiled region (budget off
-        the grid, rates off the trajectory, no feasible candidate); the
-        caller should fall back to the solve/cache path. Hits and misses
-        are counted on the instance.
-        """
-        column = self.column_for(lambdas)
-        if column is not None:
-            solution = self.solution_at(column, budget)
-            if solution is not None:
-                self.lookup_hits += 1
-                return solution
-        self.lookup_misses += 1
-        return None
-
-    def water_fill(self, column: int, winner: int, budget: float) -> float:
-        """The winner's exact optimal coverage at ``budget``.
-
-        Inverts the column's piecewise-linear budget requirement ``g`` on
-        the crossing segment — identical arithmetic to the stacked grid
-        solve, evaluated at the *queried* budget.
-        """
-        gs = self.g[column][winner]
-        xw = self.xs[winner]
-        m = len(gs)
-        k = 0
-        tol = budget + 1e-9
-        while k + 1 < m and gs[k + 1] <= tol:
-            k += 1
-        if k == m - 1:
-            return xw[k]
-        g_lo = gs[k]
-        g_hi = gs[k + 1]
-        dg = g_hi - g_lo
-        x_lo = xw[k]
-        if dg <= 0.0:
-            return x_lo
-        x_hi = xw[k + 1]
-        x = x_lo + (budget - g_lo) * (x_hi - x_lo) / dg
-        if x < x_lo:
-            return x_lo
-        if x > x_hi:
-            return x_hi
-        return x
-
-    def _serve(self, column: int, winner: int, budget: float) -> SSESolution:
-        return self._finish(column, winner, self.water_fill(column, winner, budget))
-
-    def _finish(self, column: int, winner: int, x: float) -> SSESolution:
-        aw = self.a[winner]
-        bw = self.b[winner]
-        inv = self.inv_coef[column]
-        thetas: dict[int, float] = {}
-        allocations: dict[int, float] = {}
-        for i, t in enumerate(self.type_ids):
-            if i == winner:
-                theta = x
-            else:
-                theta = aw[i] + bw[i] * x
-                if theta < 0.0:
-                    theta = 0.0
-                elif theta > 1.0:
-                    theta = 1.0
-            thetas[t] = theta
-            allocations[t] = theta * inv[i]
-        solution = _new(SSESolution)
-        _setattr(
-            solution,
-            "__dict__",
-            {
-                "thetas": thetas,
-                "allocations": allocations,
-                "best_response": self.type_ids[winner],
-                "auditor_utility": self.u_du[winner] + x * self.span[winner],
-                "attacker_utility": self.u_au[winner] + x * self.gap[winner],
-                "lps_solved": 0,
-                "lps_feasible": 0,
-                "certificate": None,
-            },
-        )
-        return solution
 
 
 class PolicyTableCompiler:
@@ -498,27 +313,30 @@ class PolicyTableCompiler:
         for i in range(n):
             totals += rates[:, i]
 
+        # Per-rate work runs once per distinct rate of each type: a type's
+        # rate repeats across the columns where only other types change.
         moment = self._moment
         coef = np.empty((n_columns, n))
-        slope_bound = 0.0
-        for i, t in enumerate(type_ids):
-            cost = costs[i]
-            for j in range(n_columns):
-                coef[j, i] = moment(rates[j, i]) / cost
+        distinct_rates = []
+        for i in range(n):
+            distinct, inverse = np.unique(
+                rates[:n_columns, i], return_inverse=True
+            )
+            coef[:, i] = np.array(
+                [moment(rate) / costs[i] for rate in distinct]
+            )[inverse]
+            distinct_rates.append(distinct)
         span = np.array(
             [config.payoffs[t].u_dc - config.payoffs[t].u_du for t in type_ids]
         )
         lipschitz_budget = float((coef * span[None, :]).max()) if n_columns else 0.0
-        for i, t in enumerate(type_ids):
-            cost = costs[i]
-            for j in range(n_columns):
-                r = moment(rates[j, i])
+        slope_bound = 0.0
+        for i, distinct in enumerate(distinct_rates):
+            for rate in distinct:
+                r = moment(rate)
                 slope_bound = max(
                     slope_bound,
-                    lipschitz_budget
-                    * cost
-                    * abs(moment.slope(rates[j, i]))
-                    / (r * r),
+                    lipschitz_budget * costs[i] * abs(moment.slope(rate)) / (r * r),
                 )
 
         # Grid-step selection from the Lipschitz bounds: the certified-exact
@@ -549,37 +367,23 @@ class PolicyTableCompiler:
         step = budgets[1] - budgets[0] if n_cells >= 1 and budget_span > 0 else 1.0
 
         guard = max(STABILITY_GUARD, self._error_budget)
-        signaling = bool(config.signaling_enabled)
-        u_au_row = np.array([config.payoffs[t].u_au for t in type_ids])
-        u_du_row = np.array([config.payoffs[t].u_du for t in type_ids])
-
         feasible_cap: tuple[bool, ...] = ()
-        inv_list: list[tuple[float, ...]] = []
-        g_list: list[tuple[tuple[float, ...], ...]] = []
-        valid_list: list[bytes] = []
-        winner_list: list[bytes] = []
-        values_grid = np.empty((n_columns, n_cells + 1), dtype=np.float32)
-        p1_grid = np.empty_like(values_grid)
-        q1_grid = np.empty_like(values_grid)
-        p0_grid = np.empty_like(values_grid)
-        q0_grid = np.empty_like(values_grid)
         a_rows: tuple[tuple[float, ...], ...] = ()
         b_rows: tuple[tuple[float, ...], ...] = ()
         xs_rows: tuple[tuple[float, ...], ...] = ()
+        g_list: list[tuple[tuple[float, ...], ...]] = []
+        valid_list: list[bytes] = []
+        winner_list: list[bytes] = []
 
-        for start in range(0, n_columns, _CHUNK_COLUMNS):
-            stop = min(start + _CHUNK_COLUMNS, n_columns)
+        for start in range(0, n_columns, _BLOCK_COLUMNS):
             grid = solve_grid_analytic(
-                budgets, coef[start:stop], config.payoffs, type_ids
+                budgets, coef[start:start + _BLOCK_COLUMNS], config.payoffs, type_ids
             )
             if start == 0:
                 a_rows = tuple(tuple(row) for row in grid.a.tolist())
                 b_rows = tuple(tuple(row) for row in grid.b.tolist())
                 xs_rows = tuple(tuple(row) for row in grid.xs.tolist())
-                off = ~np.eye(n, dtype=bool)
-                cross = np.where(off, (1.0 - grid.a) / grid.b, np.inf)
-                cap_raw = np.minimum(1.0, cross.min(axis=1, initial=np.inf))
-                feasible_cap = tuple(bool(v) for v in cap_raw >= -1e-9)
+                feasible_cap = tuple(bool(v) for v in grid.feasible_cap)
 
             winners = grid.winners  # (Kc, N)
             values = grid.values  # (Kc, n, N)
@@ -596,38 +400,6 @@ class PolicyTableCompiler:
             rival_hi = rivals.max(axis=1)
             valid = (v_w_lo - rival_hi >= guard) | np.isneginf(rival_hi)
 
-            # Dense per-grid-point decision arrays at the winner.
-            w_pts = winners.astype(np.intp)
-            x_w = np.take_along_axis(grid.x_star, w_pts[:, None, :], axis=1)[:, 0, :]
-            v_w = np.take_along_axis(values, w_pts[:, None, :], axis=1)[:, 0, :]
-            att_w = np.take_along_axis(
-                grid.attacker, w_pts[:, None, :], axis=1
-            )[:, 0, :]
-            u_au_w = u_au_row[w_pts]
-            u_du_w = u_du_row[w_pts]
-            if signaling:
-                deterred = att_w <= 0.0
-                q0 = np.where(deterred, 0.0, att_w / u_au_w)
-                q1 = np.where(deterred, 1.0 - x_w, np.clip(1.0 - x_w - q0, 0.0, None))
-                p1 = x_w
-                p0 = np.zeros_like(x_w)
-                value = (u_du_w / u_au_w) * np.clip(att_w, 0.0, None)
-            else:
-                # Online-SSE baseline: audit at the marginal, no warnings.
-                p1 = np.zeros_like(x_w)
-                q1 = np.zeros_like(x_w)
-                p0 = x_w
-                q0 = 1.0 - x_w
-                value = np.where(att_w < 0.0, 0.0, v_w)
-            sl = slice(start, stop)
-            values_grid[sl] = value
-            p1_grid[sl] = p1
-            q1_grid[sl] = q1
-            p0_grid[sl] = p0
-            q0_grid[sl] = q0
-
-            inv = 1.0 / coef[start:stop]
-            inv_list.extend(tuple(row) for row in inv.tolist())
             g_list.extend(
                 tuple(tuple(row) for row in cols) for cols in grid.g.tolist()
             )
@@ -666,22 +438,15 @@ class PolicyTableCompiler:
             boundaries=boundaries,
             rates=rates,
             totals=totals,
-            budgets=budgets,
             payoff_rows=payoff_rows,
             costs=costs,
             feasible_cap=feasible_cap,
-            inv_coef=inv_list,
+            inv_coef=[tuple(row) for row in (1.0 / coef).tolist()],
             a=a_rows,
             b=b_rows,
             xs=xs_rows,
             g=g_list,
             valid=valid_list,
             winner=winner_list,
-            values=values_grid,
-            p1=p1_grid,
-            q1=q1_grid,
-            p0=p0_grid,
-            q0=q0_grid,
-            signaling_enabled=signaling,
             compile_seconds=_time.perf_counter() - started,
         )

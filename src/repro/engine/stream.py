@@ -588,8 +588,8 @@ class BatchAuditEngine:
                     cell = last_cell
                 if valid_l[column][cell]:
                     winner = winner_l[column][cell]
-                    # Exact water-filling at the queried budget (same
-                    # arithmetic as CompiledPolicy.water_fill, inlined).
+                    # Exact water-filling at the queried budget: the
+                    # winner's step of CompiledPolicy.scan, inlined.
                     gs = g_l[column][winner]
                     xw = xs_l[winner]
                     m = len(gs)

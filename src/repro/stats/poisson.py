@@ -79,8 +79,9 @@ def expected_reciprocal(lam: float, tol: float = _SERIES_TOL) -> float:
     term = lam * math.exp(-lam)  # pmf(1)
     k = 1
     while k < _MAX_TERMS:
-        total += term / k
-        if k > lam and term / k < tol * max(total, 1e-300):
+        share = term / k
+        total += share
+        if k > lam and share < tol * (total if total > 1e-300 else 1e-300):
             break
         term *= lam / (k + 1)
         k += 1

@@ -7,6 +7,7 @@ tenants, queue bounds, and concurrent streams never change a decision.
 """
 
 import asyncio
+import contextlib
 
 import pytest
 
@@ -234,6 +235,45 @@ class TestStreamCancellation:
             return set()
 
         assert asyncio.run(go()) == set()
+
+    def test_cancel_with_producer_parked_on_full_queue_does_not_hang(self):
+        """One decision consumed, one buffered, a third decided: the
+        producer is parked on the full queue when the consumer is
+        cancelled, and the cancellation must end it rather than park it
+        again handing the error to a consumer that is gone."""
+        events = interleaved(("a", "b"))
+
+        async def go():
+            service = AuditService()
+            open_tenants(service, ("a", "b"))
+            before = asyncio.all_tasks()
+            received = asyncio.Event()
+
+            async def consume():
+                stream = service.stream(events, max_pending=1)
+                async with contextlib.aclosing(stream):
+                    async for _ in stream:
+                        received.set()
+                        await asyncio.sleep(3600)  # a stalled consumer
+
+            consumer = asyncio.create_task(consume())
+            await asyncio.wait_for(received.wait(), timeout=5.0)
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + 5.0
+            while service.stats().events < 3 and loop.time() < deadline:
+                await asyncio.sleep(0.001)
+            decided = service.stats().events
+            consumer.cancel()
+            await asyncio.wait({consumer}, timeout=5.0)
+            leaked = {
+                task for task in asyncio.all_tasks() - before if not task.done()
+            }
+            return decided, consumer.cancelled(), leaked
+
+        decided, cancelled, leaked = asyncio.run(go())
+        assert decided == 3
+        assert cancelled
+        assert leaked == set()
 
     def test_session_state_survives_cancellation(self):
         """A cancelled stream leaves every session consistent: counters

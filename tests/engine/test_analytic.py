@@ -6,8 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.payoffs import PayoffMatrix
-from repro.core.sse import GameState, solve_multiple_lp, solve_online_sse
-from repro.engine.analytic import solve_multiple_lp_analytic
+from repro.core.sse import (
+    _TIE_TOL,
+    GameState,
+    solve_multiple_lp,
+    solve_online_sse,
+)
+from repro.engine.analytic import (
+    _FEAS_TOL,
+    _breakpoint_index,
+    solve_grid_analytic,
+    solve_multiple_lp_analytic,
+)
+from repro.errors import ModelError
 from repro.stats.poisson import expected_reciprocal
 
 PAY1 = PayoffMatrix(u_dc=100.0, u_du=-400.0, u_ac=-2000.0, u_au=400.0)
@@ -139,3 +150,89 @@ def test_zero_coefficient_type_pins_theta_at_zero():
     lp = solve_multiple_lp(5.0, coefficient, payoffs, backend="scipy")
     assert solution.auditor_utility == pytest.approx(lp.auditor_utility, abs=1e-8)
     assert solution.best_response == lp.best_response
+
+
+def _broadcast_grid_reference(budgets, grid, payoffs):
+    """The grid solve's water-filling inversion over the full (K, n, m, N)
+    comparison tensor and broadcast gathers: the formulation the blocked
+    solver replaced, kept as its oracle."""
+    type_ids = grid.type_ids
+    u_dc = np.array([payoffs[t].u_dc for t in type_ids])
+    u_du = np.array([payoffs[t].u_du for t in type_ids])
+    u_au = np.array([payoffs[t].u_au for t in type_ids])
+    gap = np.array([payoffs[t].u_ac for t in type_ids]) - u_au
+    g, xs = grid.g, grid.xs
+    m = xs.shape[1]
+    feasible = grid.feasible_cap[None, :, None] & (
+        g[:, :, 0][:, :, None] <= budgets[None, None, :] + _FEAS_TOL
+    )
+    idx = np.clip(
+        np.sum(g[:, :, :, None] <= budgets[None, None, None, :] + _FEAS_TOL, axis=2)
+        - 1,
+        0,
+        m - 1,
+    )
+    xs_cols = np.broadcast_to(xs[None, :, :], g.shape)
+    x_lo = np.take_along_axis(xs_cols, idx, axis=2)
+    g_lo = np.take_along_axis(g, idx, axis=2)
+    idx_next = np.minimum(idx + 1, m - 1)
+    x_hi = np.take_along_axis(xs_cols, idx_next, axis=2)
+    g_hi = np.take_along_axis(g, idx_next, axis=2)
+    dg = g_hi - g_lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = np.where(
+            dg > 0.0, (budgets[None, None, :] - g_lo) * (x_hi - x_lo) / dg, 0.0
+        )
+    x_star = np.where(idx == m - 1, x_lo, np.clip(x_lo + step, x_lo, x_hi))
+    x_star = np.where(feasible, x_star, 0.0)
+    values = np.where(
+        feasible,
+        u_du[None, :, None] + x_star * (u_dc - u_du)[None, :, None],
+        -np.inf,
+    )
+    attacker = u_au[None, :, None] + x_star * gap[None, :, None]
+    best = values.max(axis=1, keepdims=True)
+    tied = values >= best - _TIE_TOL
+    att_masked = np.where(tied, attacker, np.inf)
+    least = att_masked.min(axis=1, keepdims=True)
+    tied &= att_masked <= least + _TIE_TOL
+    return idx, x_star, values, tied.argmax(axis=1).astype(np.int16)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_grid_solve_equals_the_broadcast_formulation(seed):
+    rng = np.random.default_rng(seed)
+    n_types = 1 + seed % 7
+    payoffs, _, _ = _random_instance(rng, n_types)
+    coefficients = rng.uniform(0.005, 2.0, size=(int(rng.integers(1, 40)), n_types))
+    budgets = np.unique(rng.uniform(0.0, 60.0, size=int(rng.integers(1, 80))))
+    if seed % 3 == 0:
+        budgets = np.linspace(0.0, float(rng.uniform(1.0, 80.0)), 257)
+    grid = solve_grid_analytic(budgets, coefficients, payoffs)
+    idx, x_star, values, winners = _broadcast_grid_reference(budgets, grid, payoffs)
+    assert np.array_equal(_breakpoint_index(grid.g, budgets + _FEAS_TOL), idx)
+    assert np.array_equal(grid.x_star, x_star)
+    assert np.array_equal(grid.values, values)
+    assert np.array_equal(grid.winners, winners)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_breakpoint_index_ignores_row_order_and_counts_ties(seed):
+    """Unsorted rows, thresholds equal to breakpoints, repeated values."""
+    rng = np.random.default_rng(seed)
+    g = rng.integers(0, 12, size=(5, 3, 9)).astype(float)
+    within = np.unique(np.concatenate([g.ravel()[::4], rng.uniform(-1.0, 13.0, 6)]))
+    reference = np.clip(
+        np.sum(g[..., None] <= within, axis=-2) - 1, 0, g.shape[-1] - 1
+    )
+    assert np.array_equal(_breakpoint_index(g, within), reference)
+
+
+@pytest.mark.parametrize(
+    "budgets", [[0.0, np.nan, 2.0], [0.0, 2.0, 1.0], [1.0, 1.0]]
+)
+def test_grid_solve_rejects_an_unsorted_budget_axis(budgets):
+    """The breakpoint index binary-searches the budget axis; a NaN in it
+    is rejected like any other break in the strict order."""
+    with pytest.raises(ModelError, match="strictly increasing"):
+        solve_grid_analytic(np.array(budgets), np.ones((1, 1)), {1: PAY1})

@@ -1,10 +1,13 @@
 """Policy tables: compile validation, recompile triggers, fallback identity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.errors import ExperimentError
 from repro.core.game import CHARGE_EXPECTED, SAGConfig
+from repro.engine import policy_table
 from repro.engine.cache import SSESolutionCache
 from repro.engine.policy_table import PolicyTableCompiler
 from repro.engine.stream import BatchAuditEngine, analytic_config
@@ -12,6 +15,13 @@ from repro.experiments.runtime import synthetic_stream_workload
 from repro.stats.estimator import FutureAlertEstimator, RollbackEstimator
 
 BUDGET = 30.0
+
+#: Ceiling on the traced peak of one compile of the wide table below
+#: (1,630 columns x 7 types x 257 budgets). The blocked compile peaks at
+#: about 18 MiB there; solving 512-column chunks at once with the full
+#: breakpoint comparison tensor, and keeping the dense per-grid-point
+#: decision arrays, peaked at about 145 MiB.
+COMPILE_PEAK_MIB = 48
 
 
 @pytest.fixture(scope="module")
@@ -197,3 +207,65 @@ class TestFallbackIdentity:
             floored.game_values, cached.game_values, atol=1e-9
         )
         np.testing.assert_allclose(floored.thetas, cached.thetas, atol=1e-9)
+
+
+def _wide_compiler():
+    payoffs, costs, history, _, _ = synthetic_stream_workload(
+        n_types=7, n_alerts=1, seed=3, n_history_days=2
+    )
+    config = SAGConfig(
+        payoffs=payoffs,
+        costs=costs,
+        budget=BUDGET,
+        backend="analytic",
+        budget_charging=CHARGE_EXPECTED,
+    )
+    return PolicyTableCompiler(
+        config, RollbackEstimator(FutureAlertEstimator(history))
+    )
+
+
+def _packed(policy):
+    """Every packed table field, floats compared bit for bit."""
+    floats = (
+        policy.g,
+        policy.inv_coef,
+        policy.a,
+        policy.b,
+        policy.xs,
+        policy.boundaries,
+        policy.rates,
+        policy.totals,
+    )
+    return (
+        policy.type_ids,
+        policy.region,
+        policy.feasible_cap,
+        policy.valid,
+        policy.winner,
+        *(np.asarray(field, dtype=float).tobytes() for field in floats),
+    )
+
+
+class TestBlockedCompile:
+    @pytest.fixture(scope="class")
+    def wide_table(self):
+        return _packed(_wide_compiler().compile())
+
+    @pytest.mark.parametrize("block", [1, 7, 100_000])
+    def test_block_size_does_not_change_the_table(
+        self, wide_table, monkeypatch, block
+    ):
+        monkeypatch.setattr(policy_table, "_BLOCK_COLUMNS", block)
+        assert _packed(_wide_compiler().compile()) == wide_table
+
+    def test_compile_working_set_stays_bounded(self):
+        compiler = _wide_compiler()
+        tracemalloc.start()
+        try:
+            policy = compiler.compile()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert policy.region.columns > 1000
+        assert peak < COMPILE_PEAK_MIB * 2**20

@@ -157,6 +157,12 @@ class TestLargeRates:
         # Golden streams and existing WALs replay through these floats.
         assert expected_reciprocal(500.0) == 0.002004016096775725
         assert expected_reciprocal(708.0) == 0.001414429994766388
+        assert expected_reciprocal(0.5) == float.fromhex("0x1.c1fd385714a14p-1")
+        assert expected_reciprocal(7.0) == float.fromhex("0x1.61407402b68f5p-3")
+        assert expected_reciprocal(100 / 3) == float.fromhex(
+            "0x1.fb3dc496b44f7p-6"
+        )
+        assert expected_reciprocal(256.0) == float.fromhex("0x1.010206187adf4p-8")
 
     def test_infinite_rate_rejected(self):
         with pytest.raises(EstimationError):
